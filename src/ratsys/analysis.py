@@ -323,18 +323,15 @@ def second_iterate_map(params: Params, ax, ay, bx, by):
 def find_period2(params: Params,
                  grid_points: int = 11,
                  box: tuple[float, float] | None = None,
-                 tol: float = 1e-6,
-                 damping: float = 0.5,
-                 max_iter: int = 10000,
-                 divergence_cap: float = 1e12,
-                 step_tol: float = 1e-9) -> Period2Result:
+                 tol: float = 1e-6) -> Period2Result:
     """Search a grid of alternating-state starts for period-2 fixed points.
 
-    Each start is relaxed under the damped second-iterate map until the
-    update falls below `step_tol` (converged), a component leaves
-    (0, divergence_cap) (diverged), or the iteration budget runs out
-    (stalled).  A converged point farther than `tol` from the equilibrium
-    in max-norm is a nontrivial witness.
+    Every start lands on the equilibrium after two applications of the
+    second-iterate map (see `second_iterate_map`); a third application
+    confirms that no start moves.  A start whose state turns non-finite or
+    non-positive at any application diverged; one that still moves on the
+    third is stalled; the rest converged.  A converged point farther than
+    `tol` from the equilibrium in max-norm is a nontrivial witness.
     """
     alpha = params.alpha
     bar = alpha + 1.0
@@ -344,30 +341,18 @@ def find_period2(params: Params,
         axis = np.array([float(box[0])])
     else:
         axis = np.linspace(float(box[0]), float(box[1]), grid_points)
-    ax, ay, bx, by = (g.ravel() for g in np.meshgrid(axis, axis, axis, axis))
-    state = np.stack([ax, ay, bx, by], axis=0).astype(np.float64)
+    state = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, axis)])
 
-    active = np.ones(state.shape[1], dtype=bool)
-    diverged = np.zeros_like(active)
-    for _ in range(max_iter):
-        if not active.any():
-            break
-        cur = state[:, active]
-        gx, gy, hx, hy = second_iterate_map(params, cur[0], cur[1], cur[2], cur[3])
-        nxt = np.stack([gx, gy, hx, hy], axis=0)
-        nxt = (1.0 - damping) * cur + damping * nxt
-        bad = ~np.all(np.isfinite(nxt), axis=0) | np.any(np.abs(nxt) > divergence_cap, axis=0) \
-            | np.any(nxt <= 0.0, axis=0)
-        delta = np.max(np.abs(nxt - cur), axis=0)
-        state[:, active] = nxt
-        idx = np.flatnonzero(active)
-        diverged[idx[bad]] = True
-        done = bad | (delta <= step_tol)
-        active[idx[done]] = False
+    diverged = np.zeros(state.shape[1], dtype=bool)
+    for _ in range(3):
+        prev = state
+        state = np.stack(second_iterate_map(params, *state))
+        diverged |= ~np.all(np.isfinite(state) & (state > 0.0), axis=0)
+    moved = np.any(state != prev, axis=0) & ~diverged
 
-    stalled = int(np.count_nonzero(active))
+    stalled = int(np.count_nonzero(moved))
     diverged_count = int(np.count_nonzero(diverged))
-    converged_mask = ~active & ~diverged
+    converged_mask = ~moved & ~diverged
     converged_count = int(np.count_nonzero(converged_mask))
 
     if converged_count == 0:

@@ -12,10 +12,10 @@ import sys
 from contextlib import contextmanager
 
 from . import analysis, bounds, convergence, stability
-from .dynamics import Orbit, Params, equilibrium, simulate
+from .dynamics import InitialConditions, Orbit, Params, equilibrium, simulate
 from .errors import (ConvergenceError, DomainError, InsufficientDataError,
                      ParseError, UnknownPresetError)
-from .scenarios import PRESETS, Scenario, load_scenario, load_sweep
+from .scenarios import PRESETS, Scenario, Tolerances, load_scenario, load_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -29,7 +29,9 @@ def _fmt(value: float) -> str:
 
 
 def _fmt_complex(z: complex) -> str:
-    return f"{z.real:+.12f}{z.imag:+.12f}j"
+    # a part that rounds to zero prints as +0, whatever the sign of its noise
+    real, imag = (round(v, 12) + 0.0 for v in (z.real, z.imag))
+    return f"{real:+.12f}{imag:+.12f}j"
 
 
 @contextmanager
@@ -51,20 +53,23 @@ def _load_from_args(args) -> Scenario:
     if getattr(args, "config", None):
         return load_scenario(args.config)
     if getattr(args, "preset", None):
-        if args.preset not in PRESETS:
-            raise UnknownPresetError(
-                f"unknown preset {args.preset!r}; available: "
-                f"{', '.join(sorted(PRESETS))}")
         return PRESETS[args.preset]
     raise ParseError("one of --preset or --config is required")
+
+
+def _final_convergence(orbit: Orbit, tol: float) -> tuple[bool, float]:
+    """Whether a completed orbit ends within `tol`, and its final deviation."""
+    eq = equilibrium(orbit.params)
+    last = orbit.last_index
+    dev = max(abs(orbit.x_at(last) - eq.x_bar), abs(orbit.y_at(last) - eq.y_bar))
+    return orbit.termination.completed and dev < tol, dev
 
 
 def _summary_lines(scenario: Scenario, orbit: Orbit) -> list[str]:
     eq = equilibrium(scenario.params)
     last = orbit.last_index
-    dev = max(abs(orbit.x_at(last) - eq.x_bar), abs(orbit.y_at(last) - eq.y_bar))
-    converged = orbit.termination.completed and dev < scenario.tolerances.convergence_tol
-    lines = [
+    converged, dev = _final_convergence(orbit, scenario.tolerances.convergence_tol)
+    return [
         f"final point: n={last}, x={_fmt(orbit.x_at(last))}, y={_fmt(orbit.y_at(last))}",
         f"equilibrium: ({_fmt(eq.x_bar)}, {_fmt(eq.y_bar)})",
         f"converged: {'yes' if converged else 'no'} "
@@ -72,7 +77,6 @@ def _summary_lines(scenario: Scenario, orbit: Orbit) -> list[str]:
         f"termination: {orbit.termination.kind}"
         + (f" at index {orbit.termination.index}" if orbit.termination.index is not None else ""),
     ]
-    return lines
 
 
 def cmd_simulate(args) -> int:
@@ -231,8 +235,7 @@ def cmd_rate(args) -> int:
         orbit = _orbit_from_csv(args.orbit, params)
     else:
         orbit = simulate(params, scenario.init, scenario.n_steps, scenario.cap)
-    eigs, _residual = stability.eigenvalues(
-        stability.jacobian(params), tol=scenario.tolerances.eigen_tol)
+    eigs = stability.classify(params, eigen_tol=scenario.tolerances.eigen_tol).eigenvalues
     estimate = convergence.rate_report(
         orbit, eq, eigs,
         burn_in=args.burn_in, window=args.window,
@@ -269,7 +272,11 @@ def cmd_sweep(args) -> int:
                 row = [_fmt(params.alpha), _fmt(params.p), _fmt(params.q),
                        radius, label]
                 if sweep.simulate_steps is not None:
-                    row.append(_sweep_converged(params, sweep))
+                    init = InitialConditions(sweep.x_init, sweep.y_init)
+                    converged, _dev = _final_convergence(
+                        simulate(params, init, sweep.simulate_steps),
+                        Tolerances().convergence_tol)
+                    row.append("yes" if converged else "no")
                 rows.append(row)
     header = ["alpha", "p", "q", "spectral_radius", "classification"]
     if sweep.simulate_steps is not None:
@@ -288,17 +295,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _sweep_converged(params: Params, sweep) -> str:
-    from .dynamics import InitialConditions
-    init = InitialConditions(sweep.x_init, sweep.y_init)
-    orbit = simulate(params, init, sweep.simulate_steps)
-    eq = equilibrium(params)
-    last = orbit.last_index
-    dev = max(abs(orbit.x_at(last) - eq.x_bar), abs(orbit.y_at(last) - eq.y_bar))
-    return "yes" if orbit.termination.completed and dev < 1e-6 else "no"
-
-
-def _add_scenario_args(sub, preset_only: bool = False):
+def _add_scenario_args(sub):
     sub.add_argument("--preset", choices=sorted(PRESETS),
                      help="built-in scenario name")
     sub.add_argument("--config", metavar="PATH", help="scenario JSON file")

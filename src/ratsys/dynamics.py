@@ -171,8 +171,9 @@ class Orbit:
     def __init__(self, params: Params, xs, ys,
                  termination: Termination = Termination(TERM_COMPLETED),
                  deviations=None):
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
+        # copies: freezing them leaves the caller's arrays writable
+        xs = np.array(xs, dtype=np.float64)
+        ys = np.array(ys, dtype=np.float64)
         if xs.ndim != 1 or ys.ndim != 1 or len(xs) != len(ys):
             raise ValueError("orbit components must be 1-d arrays of equal length")
         if len(xs) < 3:
@@ -181,7 +182,7 @@ class Orbit:
                 and np.all(xs > 0.0) and np.all(ys > 0.0)):
             raise ValueError("orbit values must be positive and finite")
         if deviations is not None:
-            deviations = np.asarray(deviations, dtype=np.float64)
+            deviations = np.array(deviations, dtype=np.float64)
             if deviations.shape != (2, len(xs)):
                 raise ValueError(f"deviations must have shape (2, {len(xs)}), "
                                  f"got {deviations.shape}")

@@ -4,10 +4,11 @@ The update map on the stacked state (x[n], x[n-1], x[n-2], y[n], y[n-1],
 y[n-2]) linearizes at the fixed point to a sparse 6x6 matrix whose only
 couplings are +/-p/(alpha+1) from the y-lags into x and +/-q/(alpha+1)
 from the x-lags into y, over two shift chains.  Its characteristic
-polynomial is built by the Faddeev-LeVerrier recurrence and solved by a
-simultaneous Durand-Kerner iteration, so no external eigensolver is
-involved; the roots are cross-checked elsewhere against direct
-determinant evaluation.
+polynomial lambda^6 - s^2 (lambda^2 - 1)^2, s = sqrt(pq)/(alpha+1), has as
+roots those of the cubic lambda^3 - s lambda^2 + s and their negatives;
+`classify` solves the cubic by a Durand-Kerner iteration, so no external
+eigensolver is involved.  `eigenvalues` handles any square matrix through
+Faddeev-LeVerrier coefficients and the same iteration.
 
 A diagonal similarity with weights (1, 1-2e, 1-3e) per chain makes the
 induced infinity norm of the conjugated matrix a cheap certificate: when
@@ -16,6 +17,7 @@ the norm is below one, so is the spectral radius.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +179,20 @@ def epsilon_certificate(params: Params) -> EpsilonCertificate | CertificateRefus
     )
 
 
+def _closed_form_spectrum(params: Params,
+                          tol: float) -> tuple[tuple[complex, ...], float]:
+    """Eigenvalues of `jacobian(params)` from the cubic, and the largest
+    |lambda^6 - s^2 (lambda^2 - 1)^2| over them as the residual."""
+    s = math.sqrt(params.p * params.q) / (params.alpha + 1.0)
+    # for large s the largest root is near s, and rounding keeps its
+    # corrections above an absolute tol; the test is scaled to the roots
+    roots = polynomial_roots(np.array([1.0, -s, 0.0, s]), tol=tol * max(1.0, s))
+    lam = np.concatenate([roots, -roots])
+    residual = float(np.max(np.abs(lam**6 - s * s * (lam**2 - 1.0) ** 2)))
+    ordered = sorted((complex(z) for z in lam), key=lambda z: (z.real, z.imag))
+    return tuple(ordered), residual
+
+
 def classify(params: Params,
              eigen_tol: float = DEFAULT_EIGEN_TOL,
              margin: float = RADIUS_MARGIN) -> StabilityReport:
@@ -186,7 +202,7 @@ def classify(params: Params,
     classification falls back on the spectral radius with an
     `margin`-wide inconclusive band around radius one.
     """
-    eigs, residual = eigenvalues(jacobian(params), tol=eigen_tol)
+    eigs, residual = _closed_form_spectrum(params, eigen_tol)
     rho = spectral_radius(eigs)
     cert = epsilon_certificate(params)
     certificate = cert if isinstance(cert, EpsilonCertificate) else None

@@ -264,3 +264,4 @@ class TestPeriod2:
         assert res.converged == 5 ** 4
         assert res.diverged == 0 and res.stalled == 0
         assert res.residual < 1e-6
+        assert res.residual == 0.0

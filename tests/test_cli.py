@@ -156,6 +156,12 @@ class TestStabilityCommand:
     def test_partial_explicit_params_rejected(self, capsys):
         assert main(["stability", "--alpha", "1.5"]) == 2
 
+    def test_real_eigenvalues_print_positive_zero_imaginary_part(self, capsys):
+        assert main(["stability", "--preset", "example2"]) == 0
+        text = capsys.readouterr().out
+        assert "+0.000000000000j" in text
+        assert "-0.000000000000j" not in text
+
 
 class TestRateCommand:
     def test_example1_gap(self, capsys):

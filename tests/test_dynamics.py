@@ -184,6 +184,18 @@ class TestOrbit:
         with pytest.raises(ValueError):
             Orbit(Params(1, 1, 1), [1.0, -2.0, 3.0], [5.0, 6.0, 7.0])
 
+    def test_caller_arrays_stay_writable_and_detached(self):
+        xs = np.array([1.0, 2.0, 3.0])
+        ys = np.array([5.0, 6.0, 7.0])
+        devs = np.array([[-2.0, -1.0, 0.0], [2.0, 3.0, 4.0]])
+        orbit = Orbit(Params(2, 1, 1), xs, ys, deviations=devs)
+        xs[0] = ys[0] = 9.0
+        devs[0, 0] = 9.0
+        assert orbit.x_at(-2) == 1.0 and orbit.y_at(-2) == 5.0
+        assert orbit.deviations[0, 0] == -2.0
+        with pytest.raises(ValueError):
+            orbit.xs[0] = 9.0
+
     def test_prefix(self):
         sc = PRESETS["example1"]
         orbit = simulate(sc.params, sc.init, 50)

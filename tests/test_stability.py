@@ -5,6 +5,7 @@ from ratsys import (CertificateRefusal, ConvergenceError, EpsilonCertificate,
                     Params, char_poly, classify, eigenvalues,
                     epsilon_certificate, jacobian, polynomial_roots,
                     spectral_radius)
+from ratsys.stability import RADIUS_MARGIN
 
 # frozen from a 200-step bisection of 9*r**6 = (r**2 - 1)**2 on (0.5, 0.7)
 LARGEST_REAL_ROOT_211 = 0.5981934981108554
@@ -201,3 +202,61 @@ class TestClassify:
     def test_residual_reported(self):
         report = classify(Params(2, 0.6, 0.9))
         assert report.char_residual < 1e-12
+
+    def test_double_root_of_the_cubic(self):
+        # pq/(alpha+1)^2 = 27/4: lambda^3 - s lambda^2 + s = (lambda - sqrt3)^2
+        # (lambda + sqrt3/2); a double root is only good to about sqrt(eps)
+        side = 5.196152422706632
+        report = classify(Params(1, side, side))
+        assert report.classification == "unstable"
+        assert abs(report.spectral_radius - np.sqrt(3.0)) < 1e-7
+
+    def test_large_coupling_converges(self):
+        # s = 1e5: the largest root is near s, where rounding keeps
+        # Durand-Kerner corrections above an absolute 1e-12
+        par = Params(1, 2e5, 2e5)
+        report = classify(par)
+        reference = np.max(np.abs(np.linalg.eigvals(jacobian(par))))
+        assert report.classification == "unstable"
+        assert abs(report.spectral_radius - reference) <= 1e-12 * reference
+
+
+def random_triples(seed, count):
+    rng = np.random.default_rng(seed)
+    return [Params(rng.uniform(0.05, 5), rng.uniform(0.05, 5), rng.uniform(0.05, 5))
+            for _ in range(count)]
+
+
+class TestClosedFormSpectrum:
+    def test_matches_general_path_and_numpy(self):
+        for par in random_triples(31, 200):
+            report = classify(par)
+            rho = report.spectral_radius
+            general = spectral_radius(eigenvalues(jacobian(par))[0])
+            reference = np.linalg.eigvals(jacobian(par))
+            assert abs(rho - general) <= 1e-12 * general
+            assert abs(rho - np.max(np.abs(reference))) <= 1e-12 * rho
+            eigs = np.array(report.eigenvalues)
+            assert len(eigs) == 6
+            for z in reference:
+                assert np.min(np.abs(eigs - z)) < 1e-10
+            for z in eigs:
+                assert np.min(np.abs(reference - z)) < 1e-10
+
+    def test_labels_follow_the_jury_condition(self):
+        # the cubic's Schur-Cohn conditions reduce to 2pq < (alpha+1)^2
+        checked = 0
+        for par in random_triples(33, 400):
+            report = classify(par)
+            if abs(report.spectral_radius - 1.0) <= RADIUS_MARGIN:
+                continue
+            stable = 2.0 * par.p * par.q < (par.alpha + 1.0) ** 2
+            assert (report.spectral_radius < 1.0) == stable
+            if report.classification != "globally-asymptotically-stable":
+                expected = ("locally-asymptotically-stable" if stable
+                            else "unstable")
+                assert report.classification == expected
+            else:
+                assert stable
+            checked += 1
+        assert checked > 300
