@@ -13,8 +13,8 @@ from .analysis import (OscillationReport, Period2Result, RuleCheck, SemiCycle,
 from .bounds import (BoundsAudit, EnvelopeCoeffs, EnvelopeSeries, audit_bounds,
                      envelope_at, envelope_coeffs, envelope_series)
 from .convergence import (ErrorVector, RateEstimate, error_norms,
-                          error_sequence, estimate_rate, match_eigenvalue,
-                          rate_report)
+                          error_sequence, estimate_rate, final_convergence,
+                          match_eigenvalue, rate_report)
 from .dynamics import (DEFAULT_CAP, Equilibrium, InitialConditions, Orbit,
                        Params, Termination, Window, equilibrium, simulate, step)
 from .errors import (ConvergenceError, DomainError, InsufficientDataError,
@@ -41,7 +41,7 @@ __all__ = [
     "jacobian", "char_poly", "polynomial_roots", "eigenvalues",
     "spectral_radius", "epsilon_certificate", "classify",
     "ErrorVector", "RateEstimate", "error_norms", "error_sequence",
-    "estimate_rate", "match_eigenvalue", "rate_report",
+    "estimate_rate", "final_convergence", "match_eigenvalue", "rate_report",
     "Scenario", "SweepSpec", "Tolerances", "load_scenario", "load_sweep",
     "save_scenario",
     "RatsysError", "NumericError", "DomainError", "ConvergenceError",

@@ -16,6 +16,7 @@ exempt because its true length is unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -89,16 +90,16 @@ class Period2Result:
     stalled: int
 
 
-def _sign_runs(positive: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal constant-value runs of a boolean array, as (start, end) positions."""
-    runs = []
-    start = 0
-    for i in range(1, len(positive)):
-        if positive[i] != positive[i - 1]:
-            runs.append((start, i - 1))
-            start = i
-    runs.append((start, len(positive) - 1))
-    return runs
+def _runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last positions of the maximal constant runs of a 1-d array."""
+    flip = np.flatnonzero(a[1:] != a[:-1])
+    return np.concatenate(([0], flip + 1)), np.append(flip, len(a) - 1)
+
+
+def _after_last(mask: np.ndarray) -> int:
+    """Position just after the last true entry of `mask`; 0 when none is true."""
+    hits = np.flatnonzero(mask)
+    return int(hits[-1]) + 1 if len(hits) else 0
 
 
 def semicycles(orbit: Orbit, eq: Equilibrium) -> SemiCycleDecomposition:
@@ -113,50 +114,34 @@ def semicycles(orbit: Orbit, eq: Equilibrium) -> SemiCycleDecomposition:
     last_pos = len(orbit.xs) - 1
     px = orbit.xs >= eq.x_bar
     py = orbit.ys >= eq.y_bar
-
-    def component_cycles(pos_mask: np.ndarray, component: str) -> tuple[SemiCycle, ...]:
-        out = []
-        for s, e in _sign_runs(pos_mask):
-            out.append(SemiCycle(
-                sign=SIGN_POSITIVE if pos_mask[s] else SIGN_NEGATIVE,
-                start=first + s,
-                length=e - s + 1,
-                open_ended=(e == last_pos),
-                component=component,
-            ))
-        return tuple(out)
-
-    x_cycles = component_cycles(px, "x")
-    y_cycles = component_cycles(py, "y")
-
-    x_bounds = {(c.start, c.start + c.length - 1) for c in x_cycles}
-    y_bounds = {(c.start, c.start + c.length - 1) for c in y_cycles}
-
     agree = px == py
-    joint = []
-    i = 0
-    n = len(agree)
-    while i < n:
-        if not agree[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and agree[j + 1] and px[j + 1] == px[i]:
-            j += 1
-        bounds = (first + i, first + j)
-        joint.append(SemiCycle(
-            sign=SIGN_POSITIVE if px[i] else SIGN_NEGATIVE,
-            start=first + i,
-            length=j - i + 1,
-            open_ended=(j == last_pos),
-            component="joint",
-            aligned=(bounds in x_bounds and bounds in y_bounds),
-        ))
-        i = j + 1
+
+    def cycles(starts, ends, positive, component, aligned) -> tuple[SemiCycle, ...]:
+        return tuple(
+            SemiCycle(SIGN_POSITIVE if pos else SIGN_NEGATIVE, first + s, e - s + 1,
+                      e == last_pos, component, al)
+            for s, e, pos, al in zip(starts.tolist(), ends.tolist(),
+                                     positive[starts].tolist(), aligned))
+
+    x_starts, x_ends = _runs(px)
+    y_starts, y_ends = _runs(py)
+    # joint runs are runs of the x-sign (0/1) where the components agree,
+    # with 2 marking the disagreeing indices, whose runs are dropped
+    code = np.where(agree, px, 2)
+    starts, ends = _runs(code)
+    keep = code[starts] != 2
+    starts, ends = starts[keep], ends[keep]
+    # boundary i sits before position i; count the components with a
+    # run boundary there (every run ends before the next one starts)
+    shared = np.zeros(len(px) + 1, dtype=np.int8)
+    shared[x_starts] += 1
+    shared[y_starts] += 1
+    shared[-1] = 2
+    aligned = (shared[starts] == 2) & (shared[ends + 1] == 2)
     return SemiCycleDecomposition(
-        x=x_cycles,
-        y=y_cycles,
-        joint=tuple(joint),
+        x=cycles(x_starts, x_ends, px, "x", repeat(True)),
+        y=cycles(y_starts, y_ends, py, "y", repeat(True)),
+        joint=cycles(starts, ends, px, "joint", aligned.tolist()),
         misaligned_count=int(np.count_nonzero(~agree)),
     )
 
@@ -172,10 +157,7 @@ def settling_index(orbit: Orbit, eq: Equilibrium,
     close = (np.abs(orbit.xs - eq.x_bar) <= tol) & (np.abs(orbit.ys - eq.y_bar) <= tol)
     if not close[-1]:
         return None
-    i = len(close) - 1
-    while i > 0 and close[i - 1]:
-        i -= 1
-    return orbit.FIRST_INDEX + i
+    return orbit.FIRST_INDEX + _after_last(~close)
 
 
 def resolved_prefix(orbit: Orbit, eq: Equilibrium,
@@ -224,20 +206,14 @@ def check_semicycle_rule(joint: tuple[SemiCycle, ...] | list[SemiCycle]) -> Rule
 def _classify_component(values: np.ndarray, bar: float,
                         eq_tol: float, min_tail: int) -> str:
     dev = values - bar
-    if np.all(np.abs(dev) <= eq_tol):
-        return OSC_AT_EQUILIBRIUM
     # drop the converged tail so float-exact settling does not mask oscillation
-    k = len(dev)
-    while abs(dev[k - 1]) <= eq_tol:
-        k -= 1
-    core = dev[:k]
-    positive = core >= 0.0
+    k = _after_last(np.abs(dev) > eq_tol)
+    if k == 0:
+        return OSC_AT_EQUILIBRIUM
+    positive = dev[:k] >= 0.0
     side = positive[-1]
-    j = k - 1
-    while j >= 0 and positive[j] == side:
-        j -= 1
-    run_len = k - 1 - j
-    if j < 0 or run_len >= max(min_tail, k // 4):
+    run_start = _after_last(positive != side)
+    if run_start == 0 or k - run_start >= max(min_tail, k // 4):
         return OSC_NONOSC_POSITIVE if side else OSC_NONOSC_NEGATIVE
     return OSC_OSCILLATORY
 
@@ -269,22 +245,14 @@ def classify_oscillation(orbit: Orbit, eq: Equilibrium,
 
 
 def _monotone_tail(values: np.ndarray, first_index: int, min_len: int) -> MonotoneTail:
-    n = len(values)
-    i = n - 1
-    while i > 0 and values[i - 1] <= values[i]:
-        i -= 1
-    nondecr = (i, n - i)
-    i = n - 1
-    while i > 0 and values[i - 1] >= values[i]:
-        i -= 1
-    noninc = (i, n - i)
-
-    start, length = nondecr
-    if length >= min_len and np.any(values[start:-1] < values[start + 1:]):
-        return MonotoneTail("increasing", first_index + start, length)
-    start, length = noninc
-    if length >= min_len and np.any(values[start:-1] > values[start + 1:]):
-        return MonotoneTail("decreasing", first_index + start, length)
+    up = values[:-1] < values[1:]
+    down = values[:-1] > values[1:]
+    # each monotone suffix begins just after the last step the other way
+    for direction, moves, against in (("increasing", up, down), ("decreasing", down, up)):
+        start = _after_last(against)
+        length = len(values) - start
+        if length >= min_len and np.any(moves[start:]):
+            return MonotoneTail(direction, first_index + start, length)
     return MonotoneTail("none", None, 0)
 
 

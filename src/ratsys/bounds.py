@@ -87,8 +87,9 @@ def envelope_at(coeffs: EnvelopeCoeffs, seed: float, n: int,
 def envelope_series(coeffs: EnvelopeCoeffs, x2: float, x3: float,
                     y2: float, y3: float, count: int) -> EnvelopeSeries:
     """The four envelope branches out to `count` doubled steps each."""
-    n = np.arange(count)
-    an = coeffs.a ** n
+    # Python's ** per power, as in `envelope_at`: numpy's vector power
+    # can differ from it in the last bit
+    an = np.array([coeffs.a ** n for n in range(count)])
     bx = coeffs.b / (1.0 - coeffs.a)
     by = coeffs.c / (1.0 - coeffs.a)
     return EnvelopeSeries(
@@ -110,41 +111,32 @@ def audit_bounds(orbit: Orbit, params: Params, slack: float = 1e-9) -> BoundsAud
     """
     alpha = params.alpha
     coeffs = envelope_coeffs(params)
-    if orbit.last_index < 3:
+    last = orbit.last_index
+    if last < 3:
         raise ValueError("bounds audit needs an orbit reaching index 3")
 
-    seeds = {"x": (orbit.x_at(2), orbit.x_at(3)),
-             "y": (orbit.y_at(2), orbit.y_at(3))}
-    drives = {"x": coeffs.b / (1.0 - coeffs.a),
-              "y": coeffs.c / (1.0 - coeffs.a)}
+    # row r holds index r + 1, x then y, so row-major order is index order
+    values = np.stack([orbit.xs[3:], orbit.ys[3:]], axis=1)
+    env = envelope_series(coeffs, orbit.x_at(2), orbit.x_at(3),
+                          orbit.y_at(2), orbit.y_at(3), last // 2)
+    upper = np.full_like(values, np.nan)  # index 1 has no envelope
+    upper[1:, 0] = np.column_stack([env.x_even, env.x_odd]).ravel()[: last - 1]
+    upper[1:, 1] = np.column_stack([env.y_even, env.y_odd]).ravel()[: last - 1]
 
-    checked = 0
-    violations: list[Violation] = []
-    early: list[Violation] = []
-    max_slack_used = 0.0
-    for k in range(1, orbit.last_index + 1):
-        for component in ("x", "y"):
-            value = orbit.x_at(k) if component == "x" else orbit.y_at(k)
-            upper = None
-            if k >= 2:
-                seed = seeds[component][k % 2]
-                half = (k - 2) // 2
-                an = coeffs.a ** half
-                upper = seed * an + drives[component] * (1.0 - an)
-            checked += 1
-            if not value > alpha:
-                violations.append(Violation(k, component, value, alpha, upper))
-                continue
-            if upper is not None:
-                overshoot = value - upper
-                if overshoot > slack:
-                    v = Violation(k, component, value, alpha, upper)
-                    (early if k <= 3 else violations).append(v)
-                elif overshoot > max_slack_used:
-                    max_slack_used = overshoot
+    above = values > alpha
+    overshoot = values - upper
+    missed = above & (overshoot > slack)
+    used = overshoot[above & (overshoot <= slack)]
+    seed_rows = (np.arange(last) < 3)[:, None]  # indices 1-3
+
+    def listed(mask) -> tuple[Violation, ...]:
+        return tuple(Violation(r + 1, "xy"[c], float(values[r, c]), alpha,
+                               None if r == 0 else float(upper[r, c]))
+                     for r, c in np.argwhere(mask).tolist())
+
     return BoundsAudit(
-        checked=checked,
-        violations=tuple(violations),
-        early_violations=tuple(early),
-        max_slack_used=max(0.0, max_slack_used),
+        checked=values.size,
+        violations=listed(~above | (missed & ~seed_rows)),
+        early_violations=listed(missed & seed_rows),
+        max_slack_used=max(0.0, float(used.max(initial=0.0))),
     )

@@ -57,18 +57,11 @@ def _load_from_args(args) -> Scenario:
     raise ParseError("one of --preset or --config is required")
 
 
-def _final_convergence(orbit: Orbit, tol: float) -> tuple[bool, float]:
-    """Whether a completed orbit ends within `tol`, and its final deviation."""
-    eq = equilibrium(orbit.params)
-    last = orbit.last_index
-    dev = max(abs(orbit.x_at(last) - eq.x_bar), abs(orbit.y_at(last) - eq.y_bar))
-    return orbit.termination.completed and dev < tol, dev
-
-
 def _summary_lines(scenario: Scenario, orbit: Orbit) -> list[str]:
     eq = equilibrium(scenario.params)
     last = orbit.last_index
-    converged, dev = _final_convergence(orbit, scenario.tolerances.convergence_tol)
+    converged, dev = convergence.final_convergence(
+        orbit, eq, scenario.tolerances.convergence_tol)
     return [
         f"final point: n={last}, x={_fmt(orbit.x_at(last))}, y={_fmt(orbit.y_at(last))}",
         f"equilibrium: ({_fmt(eq.x_bar)}, {_fmt(eq.y_bar)})",
@@ -273,9 +266,9 @@ def cmd_sweep(args) -> int:
                        radius, label]
                 if sweep.simulate_steps is not None:
                     init = InitialConditions(sweep.x_init, sweep.y_init)
-                    converged, _dev = _final_convergence(
+                    converged, _dev = convergence.final_convergence(
                         simulate(params, init, sweep.simulate_steps),
-                        Tolerances().convergence_tol)
+                        equilibrium(params), Tolerances().convergence_tol)
                     row.append("yes" if converged else "no")
                 rows.append(row)
     header = ["alpha", "p", "q", "spectral_radius", "classification"]

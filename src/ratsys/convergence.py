@@ -173,6 +173,15 @@ def fit_window(usable: int, theta: float | None = None,
     return usable - 1 - w, w
 
 
+def final_convergence(orbit: Orbit, eq: Equilibrium,
+                      tol: float) -> tuple[bool, float]:
+    """Whether the orbit completed and ends within `tol` of `eq`
+    (max-norm of the last point), and that final deviation."""
+    last = orbit.last_index
+    dev = max(abs(orbit.x_at(last) - eq.x_bar), abs(orbit.y_at(last) - eq.y_bar))
+    return orbit.termination.completed and dev < tol, dev
+
+
 def rate_report(orbit: Orbit, eq: Equilibrium, eigs,
                 burn_in: int | None = None,
                 window: int | None = None,
@@ -186,9 +195,8 @@ def rate_report(orbit: Orbit, eq: Equilibrium, eigs,
     auto-fitted to the usable length and aligned with the dominant
     eigenvalue's rotation angle.  `floor` is passed on to `error_norms`.
     """
-    final_dev = max(abs(orbit.x_at(orbit.last_index) - eq.x_bar),
-                    abs(orbit.y_at(orbit.last_index) - eq.y_bar))
-    if not orbit.termination.completed or not final_dev < convergence_tol:
+    converged, final_dev = final_convergence(orbit, eq, convergence_tol)
+    if not converged:
         raise InsufficientDataError(
             f"orbit did not converge (final deviation {final_dev:g}, "
             f"termination {orbit.termination.kind})")

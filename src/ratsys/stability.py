@@ -107,14 +107,19 @@ def polynomial_roots(coeffs: np.ndarray,
     """All complex roots of a polynomial by the Durand-Kerner iteration.
 
     Roots are updated simultaneously until the largest correction falls
-    below `tol`; exhausting `max_iter` raises ConvergenceError.
+    below `tol` times the root scale max(1, max_k |c_k|**(1/k)) of the
+    monic coefficients (Fujiwara: no root exceeds twice it), so rounding
+    cannot keep large roots from passing the test; exhausting `max_iter`
+    raises ConvergenceError.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if len(coeffs) < 2 or coeffs[0] == 0:
         raise ValueError("polynomial must have a nonzero leading coefficient")
     coeffs = coeffs / coeffs[0]
     n = len(coeffs) - 1
-    radius = 1.0 + float(np.max(np.abs(coeffs[1:])))
+    magnitudes = np.abs(coeffs[1:]).tolist()
+    radius = 1.0 + max(magnitudes)
+    stop = tol * max(1.0, *(m ** (1.0 / k) for k, m in enumerate(magnitudes, 1)))
     angles = 2.0 * np.pi * np.arange(n) / n + 0.4
     roots = radius * np.exp(1j * angles)
     for _ in range(max_iter):
@@ -123,7 +128,7 @@ def polynomial_roots(coeffs: np.ndarray,
         np.fill_diagonal(diffs, 1.0)
         delta = pvals / diffs.prod(axis=1)
         roots = roots - delta
-        if float(np.max(np.abs(delta))) <= tol:
+        if float(np.max(np.abs(delta))) <= stop:
             return roots
     raise ConvergenceError(
         f"root iteration did not reach tol={tol:g} within {max_iter} iterations")
@@ -184,9 +189,7 @@ def _closed_form_spectrum(params: Params,
     """Eigenvalues of `jacobian(params)` from the cubic, and the largest
     |lambda^6 - s^2 (lambda^2 - 1)^2| over them as the residual."""
     s = math.sqrt(params.p * params.q) / (params.alpha + 1.0)
-    # for large s the largest root is near s, and rounding keeps its
-    # corrections above an absolute tol; the test is scaled to the roots
-    roots = polynomial_roots(np.array([1.0, -s, 0.0, s]), tol=tol * max(1.0, s))
+    roots = polynomial_roots(np.array([1.0, -s, 0.0, s]), tol=tol)
     lam = np.concatenate([roots, -roots])
     residual = float(np.max(np.abs(lam**6 - s * s * (lam**2 - 1.0) ** 2)))
     ordered = sorted((complex(z) for z in lam), key=lambda z: (z.real, z.imag))

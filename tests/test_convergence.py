@@ -5,8 +5,8 @@ import pytest
 
 from ratsys import (Equilibrium, InitialConditions, InsufficientDataError,
                     Orbit, Params, eigenvalues, equilibrium, error_norms,
-                    error_sequence, estimate_rate, jacobian, match_eigenvalue,
-                    rate_report, simulate)
+                    error_sequence, estimate_rate, final_convergence, jacobian,
+                    match_eigenvalue, rate_report, simulate)
 from ratsys.convergence import NORM_FLOOR, UNDERFLOW_FLOOR, fit_window
 from ratsys.scenarios import PRESETS
 
@@ -196,3 +196,30 @@ class TestRateReport:
         eigs, _ = eigenvalues(jacobian(sc.params))
         est = rate_report(orbit, eq, eigs, burn_in=10, window=40)
         assert est.usable_range[1] - est.usable_range[0] == 40
+
+
+class TestFinalConvergence:
+    def test_converged_orbit_reports_its_last_deviation(self):
+        sc = PRESETS["example1"]
+        orbit = simulate(sc.params, sc.init, 300)
+        converged, dev = final_convergence(orbit, equilibrium(sc.params), 1e-6)
+        assert converged
+        assert dev == max(abs(orbit.x_at(300) - 3.0), abs(orbit.y_at(300) - 3.0))
+
+    def test_bounded_orbit_and_truncated_orbit_do_not_converge(self):
+        sc = PRESETS["example4"]
+        orbit = simulate(sc.params, sc.init, 300)
+        assert not final_convergence(orbit, equilibrium(sc.params), 1e-6)[0]
+        par = Params(0.1, 3.0, 3.0)  # overflows the magnitude cap
+        orbit = simulate(par, InitialConditions((0.2, 5.0, 0.3), (4.0, 0.2, 6.0)), 300)
+        assert not orbit.termination.completed
+        assert not final_convergence(orbit, equilibrium(par), math.inf)[0]
+
+    def test_rate_report_names_the_final_deviation(self):
+        sc = PRESETS["example4"]
+        orbit = simulate(sc.params, sc.init, 500)
+        eigs, _ = eigenvalues(jacobian(sc.params))
+        _, dev = final_convergence(orbit, equilibrium(sc.params), 1e-6)
+        with pytest.raises(InsufficientDataError,
+                           match=f"final deviation {dev:g}, termination completed"):
+            rate_report(orbit, equilibrium(sc.params), eigs)
