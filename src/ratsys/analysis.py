@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +37,7 @@ MIN_ORBIT_POINTS = 10
 MIN_TAIL_LEN = 6
 
 
-@dataclass(frozen=True)
-class SemiCycle:
+class SemiCycle(NamedTuple):
     sign: str             # "positive" | "negative"
     start: int            # orbit index of the first covered term
     length: int           # number of covered terms
@@ -117,11 +117,10 @@ def semicycles(orbit: Orbit, eq: Equilibrium) -> SemiCycleDecomposition:
     agree = px == py
 
     def cycles(starts, ends, positive, component, aligned) -> tuple[SemiCycle, ...]:
-        return tuple(
-            SemiCycle(SIGN_POSITIVE if pos else SIGN_NEGATIVE, first + s, e - s + 1,
-                      e == last_pos, component, al)
-            for s, e, pos, al in zip(starts.tolist(), ends.tolist(),
-                                     positive[starts].tolist(), aligned))
+        return tuple(map(SemiCycle._make, zip(
+            map((SIGN_NEGATIVE, SIGN_POSITIVE).__getitem__, positive[starts].tolist()),
+            (starts + first).tolist(), (ends - starts + 1).tolist(),
+            (ends == last_pos).tolist(), repeat(component), aligned)))
 
     x_starts, x_ends = _runs(px)
     y_starts, y_ends = _runs(py)

@@ -107,7 +107,9 @@ def audit_bounds(orbit: Orbit, params: Params, slack: float = 1e-9) -> BoundsAud
     Indices >= 1 must exceed alpha strictly (no slack: each iterate is
     alpha plus a positive term).  Indices >= 2 must also sit below the
     matching even/odd envelope plus `slack`; envelope misses at the seed
-    indices 2-3 are recorded separately rather than counted as failures.
+    indices 2-3 are recorded separately rather than counted as failures
+    (the envelope there is the seed itself, so only a negative slack
+    records any).
     """
     alpha = params.alpha
     coeffs = envelope_coeffs(params)

@@ -51,6 +51,19 @@ class TestSemicycles:
         following = [c for c in dec.x if c.start == 1]
         assert following and following[0].sign == "positive"
 
+    def test_record_is_an_immutable_named_tuple(self):
+        sc = SemiCycle(sign="negative", start=-2, length=4, open_ended=False,
+                       component="x")
+        assert sc.aligned is True
+        assert len(sc) == 6
+        sign, start, length, open_ended, component, aligned = sc
+        assert (sign, start, length, open_ended, component, aligned) == (
+            "negative", -2, 4, False, "x", True)
+        assert sc == ("negative", -2, 4, False, "x", True)
+        assert sc._replace(aligned=False).aligned is False and sc.aligned is True
+        with pytest.raises(AttributeError):
+            sc.length = 5
+
     def test_alternating_orbit_all_length_one(self):
         vals = [4.0, 2.0] * 8
         orbit = orbit_from(vals, vals)

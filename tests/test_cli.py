@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ratsys import ParseError, UnknownPresetError, load_scenario, save_scenario
+from ratsys import (ParseError, UnknownPresetError, analysis, load_scenario,
+                    save_scenario)
 from ratsys.cli import main
 from ratsys.scenarios import PRESETS, Scenario, scenario_from_dict
 
@@ -117,6 +118,22 @@ class TestAnalyzeCommand:
     def test_example3_smoke(self, capsys):
         assert main(["analyze", "--preset", "example3"]) == 0
         assert "oscillation:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("preset, decompositions", [("example1", 2), ("example3", 1)])
+    def test_unsettled_orbit_is_decomposed_once(self, preset, decompositions,
+                                                monkeypatch, capsys):
+        # example1 settles, so its rule is judged on a shorter prefix;
+        # example3 never settles and its one decomposition serves both
+        calls = []
+        semicycles = analysis.semicycles
+
+        def counted(orbit, eq):
+            calls.append(len(orbit))
+            return semicycles(orbit, eq)
+
+        monkeypatch.setattr(analysis, "semicycles", counted)
+        assert main(["analyze", "--preset", preset]) == 0
+        assert len(calls) == decompositions
 
 
 class TestBoundsCommand:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratsys import (InitialConditions, NumericError, Orbit, Params, Window,
-                    equilibrium, simulate, step)
+                    equilibrium, semicycles, simulate, step)
 from ratsys.scenarios import PRESETS
 
 # frozen against a 40-digit mpmath evaluation of 2+(5/4)**0.6 and 2+(2/2.5)**0.9
@@ -163,6 +165,44 @@ class TestSimulate:
         sc = PRESETS["example1"]
         with pytest.raises(ValueError):
             simulate(sc.params, sc.init, 0)
+
+
+# parameters reach the overflow cap (alpha 0.1, p = q = 3 does) as well
+# as convergent and bounded orbits
+positives = st.floats(0.05, 4.0)
+starts = st.tuples(*[st.floats(0.1, 10.0)] * 3)
+orbit_cases = st.tuples(positives, positives, positives, starts, starts,
+                        st.integers(1, 250))
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                             database=None)
+
+
+@PROPERTY_SETTINGS
+@given(orbit_cases)
+def test_swap_symmetry_property(case):
+    alpha, p, q, x_init, y_init, n_steps = case
+    fwd = simulate(Params(alpha, p, q), InitialConditions(x_init, y_init), n_steps)
+    swp = simulate(Params(alpha, q, p), InitialConditions(y_init, x_init), n_steps)
+    assert np.array_equal(fwd.xs, swp.ys) and np.array_equal(fwd.ys, swp.xs)
+    assert np.array_equal(fwd.deviations, swp.deviations[::-1])
+    assert fwd.termination == swp.termination
+    eq = equilibrium(Params(alpha, p, q))
+    dec, dec_swp = semicycles(fwd, eq), semicycles(swp, eq)
+    relabel = lambda cycles, component: [c._replace(component=component) for c in cycles]
+    assert relabel(dec.x, "y") == list(dec_swp.y)
+    assert relabel(dec.y, "x") == list(dec_swp.x)
+    assert dec.joint == dec_swp.joint
+    assert dec.misaligned_count == dec_swp.misaligned_count
+
+
+@PROPERTY_SETTINGS
+@given(orbit_cases)
+def test_persistence_property(case):
+    alpha, p, q, x_init, y_init, n_steps = case
+    orbit = simulate(Params(alpha, p, q), InitialConditions(x_init, y_init), n_steps)
+    for values in (orbit.xs, orbit.ys):
+        assert np.all(np.isfinite(values)) and np.all(values > 0.0)
+        assert np.all(values[3:] > alpha)
 
 
 class TestOrbit:

@@ -282,6 +282,24 @@ def test_semicycles_match_reference():
         assert semicycles(orbit, eq) == ref_semicycles(orbit, eq), orbit
 
 
+FIELD_TYPES = {"sign": str, "start": int, "length": int,
+               "open_ended": bool, "component": str, "aligned": bool}
+
+
+def test_semicycle_records_have_plain_field_types():
+    # tuple == would also accept plain tuples or numpy scalar fields
+    records = 0
+    for par, orbit in generated_orbits():
+        dec = semicycles(orbit, equilibrium(par))
+        for cycles in (dec.x, dec.y, dec.joint):
+            for c in cycles:
+                assert type(c) is SemiCycle
+                for name, kind in FIELD_TYPES.items():
+                    assert type(getattr(c, name)) is kind, (name, c)
+            records += len(cycles)
+    assert records > 100_000
+
+
 def test_settling_and_resolved_prefix_match_reference():
     for par, orbit in generated_orbits():
         eq = equilibrium(par)
