@@ -35,6 +35,7 @@ OSC_INSUFFICIENT = "insufficient-data"
 EQUILIBRIUM_TOL = 1e-12
 MIN_ORBIT_POINTS = 10
 MIN_TAIL_LEN = 6
+WITNESS_TOL = 1e-6  # a period-2 point farther from the equilibrium is nontrivial
 
 
 class SemiCycle(NamedTuple):
@@ -145,28 +146,27 @@ def semicycles(orbit: Orbit, eq: Equilibrium) -> SemiCycleDecomposition:
     )
 
 
-def settling_index(orbit: Orbit, eq: Equilibrium,
-                   tol: float = EQUILIBRIUM_TOL) -> int | None:
-    """First index from which the orbit stays within tol of the equilibrium.
+def settling_index(orbit: Orbit, eq: Equilibrium) -> int | None:
+    """First index from which the orbit stays within EQUILIBRIUM_TOL of eq.
 
     Beyond this point deviations sit at rounding scale, where sign
     structure reflects floating-point dust rather than the dynamics.
     Returns None when the orbit never settles.
     """
-    close = (np.abs(orbit.xs - eq.x_bar) <= tol) & (np.abs(orbit.ys - eq.y_bar) <= tol)
+    close = ((np.abs(orbit.xs - eq.x_bar) <= EQUILIBRIUM_TOL)
+             & (np.abs(orbit.ys - eq.y_bar) <= EQUILIBRIUM_TOL))
     if not close[-1]:
         return None
     return orbit.FIRST_INDEX + _after_last(~close)
 
 
-def resolved_prefix(orbit: Orbit, eq: Equilibrium,
-                    tol: float = EQUILIBRIUM_TOL) -> Orbit:
+def resolved_prefix(orbit: Orbit, eq: Equilibrium) -> Orbit:
     """The orbit up to (and including) its first settled index.
 
     Orbits that never settle come back unchanged; the settled tail is cut
     so that exact-comparison classifiers do not chew on rounding noise.
     """
-    settled = settling_index(orbit, eq, tol)
+    settled = settling_index(orbit, eq)
     if settled is None or settled >= orbit.last_index:
         return orbit
     return orbit.prefix(max(settled, orbit.FIRST_INDEX + 2))
@@ -202,38 +202,34 @@ def check_semicycle_rule(joint: tuple[SemiCycle, ...] | list[SemiCycle]) -> Rule
     return RuleCheck(holds=True, violation=None)
 
 
-def _classify_component(values: np.ndarray, bar: float,
-                        eq_tol: float, min_tail: int) -> str:
+def _classify_component(values: np.ndarray, bar: float) -> str:
     dev = values - bar
     # drop the converged tail so float-exact settling does not mask oscillation
-    k = _after_last(np.abs(dev) > eq_tol)
+    k = _after_last(np.abs(dev) > EQUILIBRIUM_TOL)
     if k == 0:
         return OSC_AT_EQUILIBRIUM
     positive = dev[:k] >= 0.0
     side = positive[-1]
     run_start = _after_last(positive != side)
-    if run_start == 0 or k - run_start >= max(min_tail, k // 4):
+    if run_start == 0 or k - run_start >= max(MIN_TAIL_LEN, k // 4):
         return OSC_NONOSC_POSITIVE if side else OSC_NONOSC_NEGATIVE
     return OSC_OSCILLATORY
 
 
-def classify_oscillation(orbit: Orbit, eq: Equilibrium,
-                         eq_tol: float = EQUILIBRIUM_TOL,
-                         min_points: int = MIN_ORBIT_POINTS,
-                         min_tail: int = MIN_TAIL_LEN) -> OscillationReport:
+def classify_oscillation(orbit: Orbit, eq: Equilibrium) -> OscillationReport:
     """Classify each component as oscillatory, one-sided, or settled.
 
-    The tail settled within `eq_tol` of the equilibrium is trimmed first.
-    A component whose trimmed core ends with a long strictly-one-sided
-    run (at least max(min_tail, quarter of the core)) counts as
-    non-oscillatory on that side; recurring sign changes up to the end
-    count as oscillatory.  Orbits shorter than `min_points` report
-    insufficient data.
+    The tail settled within EQUILIBRIUM_TOL of the equilibrium is trimmed
+    first.  A component whose trimmed core ends with a long
+    strictly-one-sided run (at least max(MIN_TAIL_LEN, quarter of the
+    core)) counts as non-oscillatory on that side; recurring sign changes
+    up to the end count as oscillatory.  Orbits shorter than
+    MIN_ORBIT_POINTS report insufficient data.
     """
-    if len(orbit) < min_points:
+    if len(orbit) < MIN_ORBIT_POINTS:
         return OscillationReport(OSC_INSUFFICIENT, OSC_INSUFFICIENT, OSC_INSUFFICIENT)
-    x_status = _classify_component(orbit.xs, eq.x_bar, eq_tol, min_tail)
-    y_status = _classify_component(orbit.ys, eq.y_bar, eq_tol, min_tail)
+    x_status = _classify_component(orbit.xs, eq.x_bar)
+    y_status = _classify_component(orbit.ys, eq.y_bar)
     if x_status == OSC_AT_EQUILIBRIUM and y_status == OSC_AT_EQUILIBRIUM:
         joint = OSC_AT_EQUILIBRIUM
     elif OSC_OSCILLATORY in (x_status, y_status):
@@ -243,30 +239,30 @@ def classify_oscillation(orbit: Orbit, eq: Equilibrium,
     return OscillationReport(x_status, y_status, joint)
 
 
-def _monotone_tail(values: np.ndarray, first_index: int, min_len: int) -> MonotoneTail:
+def _monotone_tail(values: np.ndarray, first_index: int) -> MonotoneTail:
     up = values[:-1] < values[1:]
     down = values[:-1] > values[1:]
     # each monotone suffix begins just after the last step the other way
     for direction, moves, against in (("increasing", up, down), ("decreasing", down, up)):
         start = _after_last(against)
         length = len(values) - start
-        if length >= min_len and np.any(moves[start:]):
+        if length >= MIN_TAIL_LEN and np.any(moves[start:]):
             return MonotoneTail(direction, first_index + start, length)
     return MonotoneTail("none", None, 0)
 
 
-def detect_monotone_tail(orbit: Orbit, min_len: int = MIN_TAIL_LEN) -> MonotoneTailReport:
+def detect_monotone_tail(orbit: Orbit) -> MonotoneTailReport:
     """Longest monotone suffix per component (non-strict comparisons).
 
-    A tail counts only if it spans at least `min_len` terms and contains
+    A tail counts only if it spans at least MIN_TAIL_LEN terms and contains
     at least one strict move; constant tails report "none".
     """
     if len(orbit) < MIN_ORBIT_POINTS:
         none = MonotoneTail("none", None, 0)
         return MonotoneTailReport(none, none)
     return MonotoneTailReport(
-        x=_monotone_tail(orbit.xs, orbit.FIRST_INDEX, min_len),
-        y=_monotone_tail(orbit.ys, orbit.FIRST_INDEX, min_len),
+        x=_monotone_tail(orbit.xs, orbit.FIRST_INDEX),
+        y=_monotone_tail(orbit.ys, orbit.FIRST_INDEX),
     )
 
 
@@ -289,8 +285,7 @@ def second_iterate_map(params: Params, ax, ay, bx, by):
 
 def find_period2(params: Params,
                  grid_points: int = 11,
-                 box: tuple[float, float] | None = None,
-                 tol: float = 1e-6) -> Period2Result:
+                 box: tuple[float, float] | None = None) -> Period2Result:
     """Search a grid of alternating-state starts for period-2 fixed points.
 
     Every start lands on the equilibrium after two applications of the
@@ -298,7 +293,7 @@ def find_period2(params: Params,
     confirms that no start moves.  A start whose state turns non-finite or
     non-positive at any application diverged; one that still moves on the
     third is stalled; the rest converged.  A converged point farther than
-    `tol` from the equilibrium in max-norm is a nontrivial witness.
+    WITNESS_TOL from the equilibrium in max-norm is a nontrivial witness.
     """
     alpha = params.alpha
     bar = alpha + 1.0
@@ -332,7 +327,7 @@ def find_period2(params: Params,
     witness = ((float(conv[0, worst]), float(conv[1, worst])),
                (float(conv[2, worst]), float(conv[3, worst])))
     return Period2Result(
-        found_nontrivial=bool(residual > tol),
+        found_nontrivial=bool(residual > WITNESS_TOL),
         witness=witness,
         residual=residual,
         converged=converged_count,

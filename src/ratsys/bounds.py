@@ -34,7 +34,6 @@ class EnvelopeCoeffs:
 class EnvelopeSeries:
     """Upper-bound sequences seeded from an orbit's indices 2 and 3."""
 
-    seeds: tuple[float, float, float, float]  # x2, x3, y2, y3
     x_even: np.ndarray  # bounds for x at indices 2n+2
     x_odd: np.ndarray   # bounds for x at indices 2n+3
     y_even: np.ndarray
@@ -56,10 +55,6 @@ class BoundsAudit:
     violations: tuple[Violation, ...]
     early_violations: tuple[Violation, ...]  # upper-bound misses at indices 2-3
     max_slack_used: float
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
 
 
 def envelope_coeffs(params: Params) -> EnvelopeCoeffs:
@@ -93,7 +88,6 @@ def envelope_series(coeffs: EnvelopeCoeffs, x2: float, x3: float,
     bx = coeffs.b / (1.0 - coeffs.a)
     by = coeffs.c / (1.0 - coeffs.a)
     return EnvelopeSeries(
-        seeds=(x2, x3, y2, y3),
         x_even=x2 * an + bx * (1.0 - an),
         x_odd=x3 * an + bx * (1.0 - an),
         y_even=y2 * an + by * (1.0 - an),

@@ -147,15 +147,17 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _params_from_args(args) -> Params:
+def _params_from_args(args) -> tuple[Params, float]:
+    """Parameters and eigen_tol, from --alpha/--p/--q or from a scenario."""
     if args.alpha is not None or args.p is not None or args.q is not None:
         if None in (args.alpha, args.p, args.q):
             raise ParseError("--alpha, --p, and --q must be given together")
         try:
-            return Params(args.alpha, args.p, args.q)
+            return Params(args.alpha, args.p, args.q), stability.DEFAULT_EIGEN_TOL
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-    return _load_from_args(args).params
+    scenario = _load_from_args(args)
+    return scenario.params, scenario.tolerances.eigen_tol
 
 
 def _stability_text(params: Params, report: stability.StabilityReport,
@@ -182,8 +184,8 @@ def _stability_text(params: Params, report: stability.StabilityReport,
 
 
 def cmd_stability(args) -> int:
-    params = _params_from_args(args)
-    report = stability.classify(params)
+    params, eigen_tol = _params_from_args(args)
+    report = stability.classify(params, eigen_tol=eigen_tol)
     with _open_out(args.out) as out:
         if args.format == "csv":
             out.write("alpha,p,q,spectral_radius,classification\n")
@@ -206,15 +208,17 @@ def _orbit_from_csv(path: str, params: Params) -> Orbit:
                 if not row:
                     continue
                 try:
-                    rows.append((int(row[0]), float(row[1]), float(row[2])))
+                    n, x, y = int(row[0]), float(row[1]), float(row[2])
                 except (ValueError, IndexError):
                     raise ParseError(f"{path}: bad orbit row at line {lineno}") from None
+                expected = Orbit.FIRST_INDEX + len(rows)
+                if n != expected:
+                    raise ParseError(f"{path}: line {lineno} has n={n}, expected n={expected}")
+                rows.append((x, y))
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc.strerror}") from exc
-    if not rows or rows[0][0] != Orbit.FIRST_INDEX:
-        raise ParseError(f"{path}: orbit rows must start at n={Orbit.FIRST_INDEX}")
     try:
-        return Orbit(params, [r[1] for r in rows], [r[2] for r in rows])
+        return Orbit(params, [r[0] for r in rows], [r[1] for r in rows])
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

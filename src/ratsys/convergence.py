@@ -29,6 +29,7 @@ NORM_FLOOR = 1e-13
 UNDERFLOW_FLOOR = math.sqrt(sys.float_info.min)
 DEFAULT_BURN_IN = 20
 DEFAULT_WINDOW = 50
+MIN_BURN_IN = 10  # fewest leading norms `fit_window` leaves out
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,9 @@ def error_norms(orbit: Orbit, eq: Equilibrium, floor: float | None = None) -> np
     return norms
 
 
-def error_sequence(orbit: Orbit, eq: Equilibrium,
-                   floor: float | None = None) -> list[ErrorVector]:
+def error_sequence(orbit: Orbit, eq: Equilibrium) -> list[ErrorVector]:
     """Stacked error vectors with norms, truncated as in `error_norms`."""
-    norms = error_norms(orbit, eq, floor=floor)
+    norms = error_norms(orbit, eq)
     dx, dy, _ = _deviations(orbit, eq)
     out = []
     for i, norm in enumerate(norms):
@@ -140,23 +140,22 @@ def match_eigenvalue(estimate: float, eigs) -> tuple[float, float]:
     return matched, abs(estimate - matched)
 
 
-def fit_window(usable: int, theta: float | None = None,
-               burn_in: int = DEFAULT_BURN_IN,
-               window: int = DEFAULT_WINDOW, min_burn_in: int = 10) -> tuple[int, int]:
+def fit_window(usable: int, theta: float | None = None) -> tuple[int, int]:
     """Choose (burn_in, window) for a usable-norm sequence.
 
-    Without a rotation angle the defaults are kept when they fit and are
-    otherwise shrunk to an even window.  Given the rotation angle of the
-    dominant eigenvalue, the window is instead aligned so window * theta
-    sits near a multiple of pi: complex dominant pairs modulate the error
-    norms at that frequency, and an aligned even window cancels the
-    modulation at both telescoping endpoints regardless of its phase.
+    Without a rotation angle DEFAULT_BURN_IN and DEFAULT_WINDOW are kept
+    when they fit; otherwise the window shrinks to an even one.  Given
+    the rotation angle of the dominant eigenvalue, the window is instead
+    aligned so window * theta sits near a multiple of pi: complex
+    dominant pairs modulate the error norms at that frequency, and an
+    aligned even window cancels the modulation at both telescoping
+    endpoints regardless of its phase.
     """
-    top = usable - 1 - max(min_burn_in, (usable - 1) // 4)
+    top = usable - 1 - max(MIN_BURN_IN, (usable - 1) // 4)
     if theta is None:
-        if usable >= burn_in + window + 1:
-            return burn_in, window
-        w = min(window, top)
+        if usable >= DEFAULT_BURN_IN + DEFAULT_WINDOW + 1:
+            return DEFAULT_BURN_IN, DEFAULT_WINDOW
+        w = min(DEFAULT_WINDOW, top)
         w -= w % 2
     else:
         best, best_score = None, None
@@ -185,7 +184,6 @@ def final_convergence(orbit: Orbit, eq: Equilibrium,
 def rate_report(orbit: Orbit, eq: Equilibrium, eigs,
                 burn_in: int | None = None,
                 window: int | None = None,
-                floor: float | None = None,
                 convergence_tol: float = 1e-6) -> RateEstimate:
     """Rate estimate for a converged orbit, matched to the spectrum.
 
@@ -193,14 +191,14 @@ def rate_report(orbit: Orbit, eq: Equilibrium, eigs,
     equilibrium (final deviation >= convergence_tol) or the usable norm
     sequence is too short.  When burn_in/window are not given they are
     auto-fitted to the usable length and aligned with the dominant
-    eigenvalue's rotation angle.  `floor` is passed on to `error_norms`.
+    eigenvalue's rotation angle.
     """
     converged, final_dev = final_convergence(orbit, eq, convergence_tol)
     if not converged:
         raise InsufficientDataError(
             f"orbit did not converge (final deviation {final_dev:g}, "
             f"termination {orbit.termination.kind})")
-    norms = error_norms(orbit, eq, floor=floor)
+    norms = error_norms(orbit, eq)
     if window is None:
         dominant = max((complex(z) for z in eigs),
                        key=lambda z: (abs(z), abs(z.imag)))

@@ -223,6 +223,9 @@ def sweep_from_dict(data: dict, source: str = "sweep") -> SweepSpec:
         sim = data["simulate"]
         if not isinstance(sim, dict):
             raise ParseError(f"{source}: simulate must be an object", field="simulate")
+        for key in sim:
+            if key not in ("n_steps", "x_init", "y_init"):
+                raise ParseError(f"{source}: unknown simulate key", field=key)
         kwargs["simulate_steps"] = _require(sim, "n_steps", int, source)
         x_init = _require(sim, "x_init", list, source)
         y_init = _require(sim, "y_init", list, source)

@@ -8,7 +8,8 @@ polynomial lambda^6 - s^2 (lambda^2 - 1)^2, s = sqrt(pq)/(alpha+1), has as
 roots those of the cubic lambda^3 - s lambda^2 + s and their negatives;
 `classify` solves the cubic by a Durand-Kerner iteration, so no external
 eigensolver is involved.  `eigenvalues` handles any square matrix through
-Faddeev-LeVerrier coefficients and the same iteration.
+Faddeev-LeVerrier coefficients and the same iteration.  The cubic's Jury
+conditions reduce to 2pq < (alpha+1)^2, which `classify` decides exactly.
 
 A diagonal similarity with weights (1, 1-2e, 1-3e) per chain makes the
 induced infinity norm of the conjugated matrix a cheap certificate: when
@@ -32,7 +33,7 @@ CLASS_INCONCLUSIVE = "inconclusive"
 
 DEFAULT_EIGEN_TOL = 1e-12
 DEFAULT_MAX_ITER = 500
-RADIUS_MARGIN = 1e-6
+RADIUS_MARGIN = 1e-6  # radius band tests exclude when comparing a radius to one
 
 
 @dataclass(frozen=True)
@@ -135,15 +136,14 @@ def polynomial_roots(coeffs: np.ndarray,
 
 
 def eigenvalues(matrix: np.ndarray,
-                tol: float = DEFAULT_EIGEN_TOL,
-                max_iter: int = DEFAULT_MAX_ITER) -> tuple[tuple[complex, ...], float]:
+                tol: float = DEFAULT_EIGEN_TOL) -> tuple[tuple[complex, ...], float]:
     """All eigenvalues (via the characteristic polynomial) plus a residual.
 
     The residual is the largest magnitude of the characteristic polynomial
     evaluated at the computed roots.
     """
     coeffs = char_poly(matrix)
-    roots = polynomial_roots(coeffs, tol=tol, max_iter=max_iter)
+    roots = polynomial_roots(coeffs, tol=tol)
     residual = float(np.max(np.abs(np.polyval(coeffs.astype(np.complex128), roots))))
     ordered = sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
     return tuple(ordered), residual
@@ -196,14 +196,23 @@ def _closed_form_spectrum(params: Params,
     return tuple(ordered), residual
 
 
+def _jury_sign(params: Params) -> int:
+    """Exact sign (-1, 0 or 1) of 2pq - (alpha+1)^2 on the binary64 inputs."""
+    (an, ad), (pn, pd), (qn, qd) = (v.as_integer_ratio()
+                                    for v in (params.alpha, params.p, params.q))
+    # both sides scaled by the positive pd * qd * ad^2
+    diff = 2 * pn * qn * ad * ad - (an + ad) ** 2 * pd * qd
+    return (diff > 0) - (diff < 0)
+
+
 def classify(params: Params,
-             eigen_tol: float = DEFAULT_EIGEN_TOL,
-             margin: float = RADIUS_MARGIN) -> StabilityReport:
+             eigen_tol: float = DEFAULT_EIGEN_TOL) -> StabilityReport:
     """Full stability report for a parameter triple.
 
     The global verdict needs alpha > 1 and 0 < p, q <= 1; otherwise the
-    classification falls back on the spectral radius with an
-    `margin`-wide inconclusive band around radius one.
+    label is the exact sign of 2pq - (alpha+1)^2 (see `_jury_sign`), with
+    "inconclusive" only on the boundary itself.  Within about 1e-15 of
+    the boundary the computed radius may sit on the other side of one.
     """
     eigs, residual = _closed_form_spectrum(params, eigen_tol)
     rho = spectral_radius(eigs)
@@ -213,12 +222,9 @@ def classify(params: Params,
     meets_global = params.alpha > 1.0 and 0.0 < params.p <= 1.0 and 0.0 < params.q <= 1.0
     if meets_global:
         classification = CLASS_GLOBAL
-    elif rho < 1.0 - margin:
-        classification = CLASS_LOCAL
-    elif rho > 1.0 + margin:
-        classification = CLASS_UNSTABLE
     else:
-        classification = CLASS_INCONCLUSIVE
+        classification = (CLASS_LOCAL, CLASS_INCONCLUSIVE,
+                          CLASS_UNSTABLE)[_jury_sign(params) + 1]
     return StabilityReport(
         eigenvalues=eigs,
         spectral_radius=rho,

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from ratsys import (ParseError, UnknownPresetError, analysis, load_scenario,
-                    save_scenario)
+from ratsys import (ParseError, UnknownPresetError, analysis, classify,
+                    load_scenario, save_scenario)
 from ratsys.cli import main
-from ratsys.scenarios import PRESETS, Scenario, scenario_from_dict
+from ratsys.scenarios import (PRESETS, Scenario, scenario_from_dict,
+                              scenario_to_dict, sweep_from_dict)
 
 EXPECTED_PRESETS = {
     "example1": (2.0, 0.6, 0.9, (2.5, 6.0, 2.0), (4.0, 2.0, 5.0)),
@@ -179,6 +180,24 @@ class TestStabilityCommand:
         assert "+0.000000000000j" in text
         assert "-0.000000000000j" not in text
 
+    def test_scenario_eigen_tol_reaches_the_root_finder(self, tmp_path, capsys):
+        # rate already solves with the scenario's eigen_tol; stability must too
+        data = scenario_to_dict(PRESETS["example1"])
+        data["tolerances"]["eigen_tol"] = 1e-2
+        cfg = tmp_path / "loose.json"
+        cfg.write_text(json.dumps(data))
+        params = PRESETS["example1"].params
+        loose = classify(params, eigen_tol=1e-2).spectral_radius
+        assert f"{loose:.12f}" != f"{classify(params).spectral_radius:.12f}"
+        assert main(["rate", "--config", str(cfg), "--format", "csv"]) == 0
+        matched = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
+        assert main(["stability", "--config", str(cfg)]) == 0
+        text = capsys.readouterr().out
+        assert f"(modulus {matched:.12f})" in text
+        assert f"spectral radius: {loose:.12f}\n" in text
+        assert main(["stability", "--config", str(cfg), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[3] == repr(loose)
+
 
 class TestRateCommand:
     def test_example1_gap(self, capsys):
@@ -210,6 +229,40 @@ class TestRateCommand:
         path = tmp_path / "orbit.csv"
         path.write_text("a,b,c\n1,2,3\n")
         assert main(["rate", "--preset", "example1", "--orbit", str(path)]) == 2
+
+    @pytest.fixture
+    def orbit_lines(self, tmp_path, capsys):
+        """The 500-step example1 orbit as CSV lines; lines[k + 3] holds n = k."""
+        path = tmp_path / "example1.csv"
+        assert main(["simulate", "--preset", "example1", "--out", str(path)]) == 0
+        capsys.readouterr()
+        return path.read_text().splitlines(keepends=True)
+
+    def rate_on(self, tmp_path, lines):
+        path = tmp_path / "edited.csv"
+        path.write_text("".join(lines))
+        return main(["rate", "--preset", "example1", "--orbit", str(path)])
+
+    def test_intact_orbit_file_is_read(self, tmp_path, capsys, orbit_lines):
+        assert self.rate_on(tmp_path, orbit_lines) == 0
+        assert "usable range: n=32..76\n" in capsys.readouterr().out
+
+    def test_orbit_file_with_a_missing_row(self, tmp_path, capsys, orbit_lines):
+        assert orbit_lines[101].startswith("98,")
+        del orbit_lines[101]
+        assert self.rate_on(tmp_path, orbit_lines) == 2
+        assert "line 102 has n=99, expected n=98" in capsys.readouterr().err
+
+    def test_orbit_file_with_swapped_rows(self, tmp_path, capsys, orbit_lines):
+        orbit_lines[13], orbit_lines[14] = orbit_lines[14], orbit_lines[13]
+        assert self.rate_on(tmp_path, orbit_lines) == 2
+        assert "line 14 has n=11, expected n=10" in capsys.readouterr().err
+
+    def test_orbit_file_with_a_relabelled_row(self, tmp_path, capsys, orbit_lines):
+        assert orbit_lines[203].startswith("200,")
+        orbit_lines[203] = "201," + orbit_lines[203][4:]
+        assert self.rate_on(tmp_path, orbit_lines) == 2
+        assert "line 204 has n=201, expected n=200" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -266,3 +319,15 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].endswith(",converged")
         assert lines[1].endswith(",yes")
+
+    def test_unknown_simulate_key_rejected(self, tmp_path, capsys):
+        data = {"alpha": [2.0, 2.0, 1], "p": [0.6, 0.6, 1], "q": [0.9, 0.9, 1],
+                "simulate": {"n_steps": 20, "x_init": [2.5, 6.0, 2.0],
+                             "y_init": [4.0, 2.0, 5.0], "typo": 5}}
+        with pytest.raises(ParseError) as err:
+            sweep_from_dict(data)
+        assert err.value.field == "typo"
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "(field: typo)" in capsys.readouterr().err

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratsys import (CertificateRefusal, ConvergenceError, EpsilonCertificate,
                     Params, char_poly, classify, eigenvalues,
@@ -13,6 +17,15 @@ LARGEST_REAL_ROOT_211 = 0.5981934981108554
 
 def coupling_product(params):
     return params.p * params.q / (params.alpha + 1.0) ** 2
+
+
+def jury_label(params):
+    """Label from the sign of 2pq - (alpha+1)^2, computed in rationals."""
+    diff = (2 * Fraction(params.p) * Fraction(params.q)
+            - (Fraction(params.alpha) + 1) ** 2)
+    if diff < 0:
+        return "locally-asymptotically-stable"
+    return "unstable" if diff > 0 else "inconclusive"
 
 
 def pair_equation_residual(params, lam):
@@ -249,15 +262,79 @@ class TestClosedFormSpectrum:
         checked = 0
         for par in random_triples(33, 400):
             report = classify(par)
+            expected = jury_label(par)
+            if report.classification == "globally-asymptotically-stable":
+                assert expected == "locally-asymptotically-stable"
+            else:
+                assert report.classification == expected
+            # the computed radius tells the side of one only away from it
             if abs(report.spectral_radius - 1.0) <= RADIUS_MARGIN:
                 continue
-            stable = 2.0 * par.p * par.q < (par.alpha + 1.0) ** 2
+            stable = expected == "locally-asymptotically-stable"
             assert (report.spectral_radius < 1.0) == stable
-            if report.classification != "globally-asymptotically-stable":
-                expected = ("locally-asymptotically-stable" if stable
-                            else "unstable")
-                assert report.classification == expected
-            else:
-                assert stable
             checked += 1
         assert checked > 300
+
+
+def dyadic_boundary_triples():
+    """Triples with 2pq == (alpha+1)^2 exactly in binary64."""
+    triples = [(1.0, 2.0, 1.0), (3.0, 8.0, 1.0)]
+    for k in range(1, 13):
+        alpha = k / 4
+        for j in range(-3, 4):
+            p = 2.0**j
+            triples.append((alpha, p, (alpha + 1.0) ** 2 / (2.0 * p)))
+    return triples
+
+
+class TestExactVerdict:
+    def test_on_the_boundary_is_inconclusive(self):
+        for triple in dyadic_boundary_triples():
+            par = Params(*triple)
+            assert jury_label(par) == "inconclusive"
+            report = classify(par)
+            assert report.classification == "inconclusive", triple
+            assert abs(report.spectral_radius - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("shift, label", [
+        (1e-8, "unstable"), (-1e-8, "locally-asymptotically-stable")])
+    def test_next_to_the_boundary_gets_the_exact_label(self, shift, label):
+        for alpha, p, q in dyadic_boundary_triples():
+            par = Params(alpha, p, q * (1.0 + shift))
+            assert jury_label(par) == label
+            report = classify(par)
+            # too close to one for the computed radius to settle the label
+            assert abs(report.spectral_radius - 1.0) <= RADIUS_MARGIN
+            assert report.classification == label, (alpha, p, q)
+
+    def test_command_line_example(self):
+        assert classify(Params(1, 2, 1.00000001)).classification == "unstable"
+        assert classify(Params(1, 2, 0.99999999)).classification == \
+            "locally-asymptotically-stable"
+
+
+positive = st.floats(min_value=0.01, max_value=10.0)
+
+
+@st.composite
+def near_boundary_triples(draw):
+    """Triples on or around 2pq = (alpha+1)^2, after rounding or exactly."""
+    if draw(st.booleans()):
+        alpha, p = draw(st.integers(1, 40)) / 4, 2.0 ** draw(st.integers(-6, 6))
+    else:
+        alpha, p = draw(positive), draw(positive)
+    q = (alpha + 1.0) ** 2 / (2.0 * p)
+    for _ in range(draw(st.integers(0, 3))):
+        q = np.nextafter(q, draw(st.sampled_from([0.0, np.inf])))
+    return Params(alpha, p, float(q))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.builds(Params, positive, positive, positive),
+                 near_boundary_triples()))
+def test_label_is_the_exact_jury_sign(par):
+    report = classify(par)
+    if report.meets_global_conditions:
+        assert report.classification == "globally-asymptotically-stable"
+    else:
+        assert report.classification == jury_label(par)
