@@ -7,7 +7,10 @@ each component are dominated termwise by geometric paths
 
 where a = alpha**-(p+q) < 1, B = alpha**(1-p) + alpha for the x-series
 and alpha**(1-q) + alpha for the y-series, and the seeds are the orbit's
-own values at indices 2 and 3.  The lower bound alpha holds strictly
+own values at indices 2 and 3.  Each doubled step x[k] -> x[k+2] divides
+by x[k-2], so the step from index 2 to 4 needs the index-0 value above
+alpha; a component whose index-0 value is at or below alpha seeds its
+even branch at index 4 instead.  The lower bound alpha holds strictly
 from index 1 on.
 """
 
@@ -53,7 +56,7 @@ class Violation:
 class BoundsAudit:
     checked: int
     violations: tuple[Violation, ...]
-    early_violations: tuple[Violation, ...]  # upper-bound misses at indices 2-3
+    early_violations: tuple[Violation, ...]  # upper-bound misses at seed indices
     max_slack_used: float
 
 
@@ -99,9 +102,10 @@ def audit_bounds(orbit: Orbit, params: Params, slack: float = 1e-9) -> BoundsAud
     """Check every orbit value against the lower bound and upper envelopes.
 
     Indices >= 1 must exceed alpha strictly (no slack: each iterate is
-    alpha plus a positive term).  Indices >= 2 must also sit below the
-    matching even/odd envelope plus `slack`; envelope misses at the seed
-    indices 2-3 are recorded separately rather than counted as failures
+    alpha plus a positive term).  From its seed index on (2 or 4 for the
+    even branch, see the module docstring, and 3 for the odd one) each
+    value must also sit below its envelope plus `slack`; misses at the
+    seed indices are recorded separately rather than counted as failures
     (the envelope there is the seed itself, so only a negative slack
     records any).
     """
@@ -113,26 +117,32 @@ def audit_bounds(orbit: Orbit, params: Params, slack: float = 1e-9) -> BoundsAud
 
     # row r holds index r + 1, x then y, so row-major order is index order
     values = np.stack([orbit.xs[3:], orbit.ys[3:]], axis=1)
-    env = envelope_series(coeffs, orbit.x_at(2), orbit.x_at(3),
-                          orbit.y_at(2), orbit.y_at(3), last // 2)
-    upper = np.full_like(values, np.nan)  # index 1 has no envelope
-    upper[1:, 0] = np.column_stack([env.x_even, env.x_odd]).ravel()[: last - 1]
-    upper[1:, 1] = np.column_stack([env.y_even, env.y_odd]).ravel()[: last - 1]
+    # Python's ** per power, as in `envelope_at`
+    an = np.array([coeffs.a ** n for n in range(last // 2)])
+    upper = np.full_like(values, np.nan)  # no envelope before a branch's seed
+    seeds = np.zeros(values.shape, dtype=bool)
+    starts = (orbit.x_at(0), orbit.y_at(0))
+    for c, drive in enumerate((coeffs.b, coeffs.c)):
+        for first in (2 if starts[c] > alpha else 4, 3):
+            branch = values[first - 1::2, c]
+            if len(branch):
+                k = an[: len(branch)]
+                upper[first - 1::2, c] = branch[0] * k + drive / (1.0 - coeffs.a) * (1.0 - k)
+                seeds[first - 1, c] = True
 
     above = values > alpha
     overshoot = values - upper
     missed = above & (overshoot > slack)
     used = overshoot[above & (overshoot <= slack)]
-    seed_rows = (np.arange(last) < 3)[:, None]  # indices 1-3
 
     def listed(mask) -> tuple[Violation, ...]:
         return tuple(Violation(r + 1, "xy"[c], float(values[r, c]), alpha,
-                               None if r == 0 else float(upper[r, c]))
+                               None if np.isnan(upper[r, c]) else float(upper[r, c]))
                      for r, c in np.argwhere(mask).tolist())
 
     return BoundsAudit(
         checked=values.size,
-        violations=listed(~above | (missed & ~seed_rows)),
-        early_violations=listed(missed & seed_rows),
+        violations=listed(~above | (missed & ~seeds)),
+        early_violations=listed(missed & seeds),
         max_slack_used=max(0.0, float(used.max(initial=0.0))),
     )

@@ -233,8 +233,7 @@ def cmd_rate(args) -> int:
         orbit = simulate(params, scenario.init, scenario.n_steps, scenario.cap)
     eigs = stability.classify(params, eigen_tol=scenario.tolerances.eigen_tol).eigenvalues
     estimate = convergence.rate_report(
-        orbit, eq, eigs,
-        burn_in=args.burn_in, window=args.window,
+        orbit, eq, eigs, window=args.window,
         convergence_tol=scenario.tolerances.convergence_tol)
     with _open_out(args.out) as out:
         if args.format == "csv":
@@ -253,6 +252,11 @@ def cmd_rate(args) -> int:
 
 def cmd_sweep(args) -> int:
     sweep = load_sweep(args.config)
+    header = ["alpha", "p", "q", "spectral_radius", "classification"]
+    if sweep.simulate_steps is not None:
+        header.append("converged")
+        init = InitialConditions(sweep.x_init, sweep.y_init)
+        tol = Tolerances().convergence_tol
     rows = []
     for alpha in sweep.alpha.values():
         for p in sweep.p.values():
@@ -268,15 +272,11 @@ def cmd_sweep(args) -> int:
                 row = [_fmt(params.alpha), _fmt(params.p), _fmt(params.q),
                        radius, label]
                 if sweep.simulate_steps is not None:
-                    init = InitialConditions(sweep.x_init, sweep.y_init)
                     converged, _dev = convergence.final_convergence(
                         simulate(params, init, sweep.simulate_steps),
-                        equilibrium(params), Tolerances().convergence_tol)
+                        equilibrium(params), tol)
                     row.append("yes" if converged else "no")
                 rows.append(row)
-    header = ["alpha", "p", "q", "spectral_radius", "classification"]
-    if sweep.simulate_steps is not None:
-        header.append("converged")
     with _open_out(args.out) as out:
         if args.format == "text":
             widths = [max(len(header[i]), max((len(r[i]) for r in rows), default=0))
@@ -334,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(rate)
     rate.add_argument("--orbit", metavar="PATH", default=None,
                       help="analyze an existing orbit CSV instead of simulating")
-    rate.add_argument("--burn-in", type=int, default=None, dest="burn_in")
     rate.add_argument("--window", type=int, default=None)
     rate.add_argument("--format", choices=("csv", "text"), default="text")
     rate.set_defaults(handler=cmd_rate)

@@ -27,7 +27,6 @@ from .errors import InsufficientDataError
 NORM_FLOOR = 1e-13
 # smallest norm whose square is a normal binary64 number (about 1.5e-154)
 UNDERFLOW_FLOOR = math.sqrt(sys.float_info.min)
-DEFAULT_BURN_IN = 20
 DEFAULT_WINDOW = 50
 MIN_BURN_IN = 10  # fewest leading norms `fit_window` leaves out
 
@@ -102,23 +101,19 @@ def error_sequence(orbit: Orbit, eq: Equilibrium) -> list[ErrorVector]:
     return out
 
 
-def estimate_rate(norms, burn_in: int = DEFAULT_BURN_IN,
-                  window: int = DEFAULT_WINDOW) -> RateEstimate:
+def estimate_rate(norms, window: int = DEFAULT_WINDOW) -> RateEstimate:
     """Decay-rate estimates from an error-norm sequence.
 
     ratio_estimate is the geometric mean of the last `window` consecutive
     norm ratios (telescoping to an end-point ratio); root_estimate is
-    norms[N]**(1/N) at the last index.  Requires burn_in + window + 1
-    usable norms.
+    norms[N]**(1/N) at the last index.  Requires window + 1 usable norms.
     """
     norms = np.asarray(norms, dtype=np.float64)
-    if burn_in < 0 or window < 1:
-        raise ValueError("burn_in must be >= 0 and window >= 1")
-    needed = burn_in + window + 1
-    if len(norms) < needed:
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    if len(norms) < window + 1:
         raise InsufficientDataError(
-            f"need {needed} usable norms (burn_in={burn_in}, window={window}), "
-            f"got {len(norms)}")
+            f"need {window + 1} usable norms (window={window}), got {len(norms)}")
     if not np.all(np.isfinite(norms)) or np.any(norms <= 0.0):
         raise InsufficientDataError("norms must be positive and finite")
     last = len(norms) - 1
@@ -140,21 +135,20 @@ def match_eigenvalue(estimate: float, eigs) -> tuple[float, float]:
     return matched, abs(estimate - matched)
 
 
-def fit_window(usable: int, theta: float | None = None) -> tuple[int, int]:
-    """Choose (burn_in, window) for a usable-norm sequence.
+def fit_window(usable: int, theta: float | None = None) -> int:
+    """Choose the window for a usable-norm sequence.
 
-    Without a rotation angle DEFAULT_BURN_IN and DEFAULT_WINDOW are kept
-    when they fit; otherwise the window shrinks to an even one.  Given
-    the rotation angle of the dominant eigenvalue, the window is instead
-    aligned so window * theta sits near a multiple of pi: complex
-    dominant pairs modulate the error norms at that frequency, and an
-    aligned even window cancels the modulation at both telescoping
-    endpoints regardless of its phase.
+    The window ends at the last norm and leaves out at least the first
+    quarter of the sequence (and at least MIN_BURN_IN norms).  Without a
+    rotation angle it is DEFAULT_WINDOW, shrunk to an even one when that
+    does not fit.  Given the rotation angle of the dominant eigenvalue,
+    the window is instead aligned so window * theta sits near a multiple
+    of pi: complex dominant pairs modulate the error norms at that
+    frequency, and an aligned even window cancels the modulation at both
+    telescoping endpoints regardless of its phase.
     """
     top = usable - 1 - max(MIN_BURN_IN, (usable - 1) // 4)
     if theta is None:
-        if usable >= DEFAULT_BURN_IN + DEFAULT_WINDOW + 1:
-            return DEFAULT_BURN_IN, DEFAULT_WINDOW
         w = min(DEFAULT_WINDOW, top)
         w -= w % 2
     else:
@@ -169,7 +163,7 @@ def fit_window(usable: int, theta: float | None = None) -> tuple[int, int]:
     if w < 8:
         raise InsufficientDataError(
             f"only {usable} usable norms; too few for a rate estimate")
-    return usable - 1 - w, w
+    return w
 
 
 def final_convergence(orbit: Orbit, eq: Equilibrium,
@@ -182,16 +176,15 @@ def final_convergence(orbit: Orbit, eq: Equilibrium,
 
 
 def rate_report(orbit: Orbit, eq: Equilibrium, eigs,
-                burn_in: int | None = None,
                 window: int | None = None,
                 convergence_tol: float = 1e-6) -> RateEstimate:
     """Rate estimate for a converged orbit, matched to the spectrum.
 
     Raises InsufficientDataError when the orbit did not converge to the
     equilibrium (final deviation >= convergence_tol) or the usable norm
-    sequence is too short.  When burn_in/window are not given they are
-    auto-fitted to the usable length and aligned with the dominant
-    eigenvalue's rotation angle.
+    sequence is too short.  When no window is given it is auto-fitted to
+    the usable length and aligned with the dominant eigenvalue's rotation
+    angle.
     """
     converged, final_dev = final_convergence(orbit, eq, convergence_tol)
     if not converged:
@@ -205,10 +198,7 @@ def rate_report(orbit: Orbit, eq: Equilibrium, eigs,
         theta = None
         if abs(dominant) > 0.0:
             theta = abs(math.atan2(dominant.imag, dominant.real))
-        b, w = fit_window(len(norms), theta=theta)
-    else:
-        w = window
-        b = burn_in if burn_in is not None else max(0, len(norms) - 1 - w)
-    estimate = estimate_rate(norms, burn_in=b, window=w)
+        window = fit_window(len(norms), theta=theta)
+    estimate = estimate_rate(norms, window=window)
     matched, gap = match_eigenvalue(estimate.ratio_estimate, eigs)
     return replace(estimate, matched_modulus=matched, gap=gap)

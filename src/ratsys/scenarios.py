@@ -247,6 +247,8 @@ def load_sweep(path) -> SweepSpec:
     path = Path(path)
     try:
         data = json.loads(path.read_text())
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from None

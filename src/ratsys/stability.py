@@ -175,8 +175,9 @@ def epsilon_certificate(params: Params) -> EpsilonCertificate | CertificateRefus
     epsilon = min(epsilon, 1.0 / 3.0 - 1e-9)  # keep every weight positive
     d = np.array([1.0, 1.0 - 2.0 * epsilon, 1.0 - 3.0 * epsilon,
                   1.0, 1.0 - 2.0 * epsilon, 1.0 - 3.0 * epsilon])
-    weighted = np.diag(d) @ jacobian(params) @ np.diag(1.0 / d)
-    norm_value = float(np.max(np.abs(weighted).sum(axis=1)))
+    # row sums of |diag(d) @ jacobian @ diag(1/d)|; the shift rows repeat per chain
+    u, v, inv = params.p / s, params.q / s, 1.0 / d[5]
+    norm_value = float(max(u + u * inv, v + v * inv, d[1], d[2] * (1.0 / d[1])))
     return EpsilonCertificate(
         epsilon=float(epsilon),
         weights=tuple(float(w) for w in d),

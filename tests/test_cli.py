@@ -221,9 +221,20 @@ class TestRateCommand:
         path = tmp_path / "orbit.csv"
         path.write_text("\n".join(rows) + "\n")
         assert main(["rate", "--preset", "example1", "--orbit", str(path),
-                     "--window", "30", "--burn-in", "10"]) == 0
+                     "--window", "30"]) == 0
         text = capsys.readouterr().out
         assert "ratio estimate: 0.5\n" in text
+
+    def test_burn_in_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rate", "--preset", "example1", "--burn-in", "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --burn-in 10" in capsys.readouterr().err
+
+    def test_window_longer_than_the_norms(self, capsys):
+        assert main(["rate", "--preset", "example1", "--window", "600"]) == 4
+        assert capsys.readouterr().err == (
+            "error: need 601 usable norms (window=600), got 501\n")
 
     def test_orbit_file_bad_header(self, tmp_path, capsys):
         path = tmp_path / "orbit.csv"
@@ -319,6 +330,12 @@ class TestSweepCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].endswith(",converged")
         assert lines[1].endswith(",yes")
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "nope.json"
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read {cfg}: No such file or directory\n")
 
     def test_unknown_simulate_key_rejected(self, tmp_path, capsys):
         data = {"alpha": [2.0, 2.0, 1], "p": [0.6, 0.6, 1], "q": [0.9, 0.9, 1],

@@ -7,14 +7,14 @@ from ratsys import (Equilibrium, InitialConditions, InsufficientDataError,
                     Orbit, Params, eigenvalues, equilibrium, error_norms,
                     error_sequence, estimate_rate, final_convergence, jacobian,
                     match_eigenvalue, rate_report, simulate)
-from ratsys.convergence import NORM_FLOOR, UNDERFLOW_FLOOR, fit_window
+from ratsys.convergence import MIN_BURN_IN, NORM_FLOOR, UNDERFLOW_FLOOR, fit_window
 from ratsys.scenarios import PRESETS
 
 # frozen first-iterate deviations for example1 (40-digit mpmath)
 EX1_E1 = 0.14326262981831587
 EX1_E2 = -0.18194785394914166
 # frozen geometric-mean estimate for norms 3 * 0.7**n * (2 + cos n),
-# burn_in=20, window=50, 200 entries
+# window=50, 200 entries
 COSINE_RATIO = 0.6978988913024136
 
 
@@ -98,13 +98,15 @@ class TestEstimateRate:
     def test_cosine_modulated_sequence(self):
         n = np.arange(200)
         norms = 3.0 * 0.7**n * (2.0 + np.cos(n))
-        est = estimate_rate(norms, burn_in=20, window=50)
+        est = estimate_rate(norms, window=50)
         assert abs(est.ratio_estimate - 0.7) < 1e-2
         assert abs(est.ratio_estimate - COSINE_RATIO) < 1e-12
 
     def test_insufficient_norms(self):
-        with pytest.raises(InsufficientDataError):
-            estimate_rate(0.5 ** np.arange(30), burn_in=20, window=50)
+        with pytest.raises(InsufficientDataError,
+                           match=r"need 51 usable norms \(window=50\), got 50"):
+            estimate_rate(0.5 ** np.arange(50), window=50)
+        assert estimate_rate(0.5 ** np.arange(51), window=50).usable_range == (0, 50)
 
     def test_invalid_norms(self):
         bad = 0.5 ** np.arange(90)
@@ -144,11 +146,14 @@ class TestMatching:
 
 class TestFitWindow:
     def test_defaults_kept_when_they_fit(self):
-        assert fit_window(200) == (20, 50)
+        assert fit_window(200) == 50
+        # leaving out the first quarter leaves room for it from 67 norms on
+        assert [fit_window(u) for u in range(64, 70)] == [48, 48, 48, 50, 50, 50]
 
     def test_shrinks_to_even_window(self):
-        b, w = fit_window(40)
-        assert w % 2 == 0 and b + w + 1 <= 40 and w >= 8
+        w = fit_window(40)
+        assert w == 28  # 40 - 1 - MIN_BURN_IN = 29, made even
+        assert w % 2 == 0 and w + 1 + MIN_BURN_IN <= 40
 
     def test_too_short_raises(self):
         with pytest.raises(InsufficientDataError):
@@ -156,10 +161,10 @@ class TestFitWindow:
 
     def test_phase_alignment_prefers_near_multiples_of_pi(self):
         theta = 0.9257  # example1's dominant rotation angle
-        b, w = fit_window(77, theta=theta)
+        w = fit_window(77, theta=theta)
         k = round(w * theta / math.pi)
         assert abs(w * theta - k * math.pi) / w < 0.01
-        assert w % 2 == 0 and b + w + 1 <= 77
+        assert w % 2 == 0 and w + 1 + (77 - 1) // 4 <= 77
 
 
 class TestRateReport:
@@ -194,7 +199,7 @@ class TestRateReport:
         eq = equilibrium(sc.params)
         orbit = simulate(sc.params, sc.init, 500)
         eigs, _ = eigenvalues(jacobian(sc.params))
-        est = rate_report(orbit, eq, eigs, burn_in=10, window=40)
+        est = rate_report(orbit, eq, eigs, window=40)
         assert est.usable_range[1] - est.usable_range[0] == 40
 
 

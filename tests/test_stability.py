@@ -185,6 +185,24 @@ class TestCertificate:
             eigs, _ = eigenvalues(jacobian(par))
             assert spectral_radius(eigs) <= cert.norm_value < 1.0
 
+    def test_norm_equals_the_conjugated_matrix_norm(self):
+        # the closed-form row sums against the infinity norm of
+        # diag(d) @ jacobian @ diag(1/d), bit for bit
+        rng = np.random.default_rng(24)
+        triples = [rng.uniform(0.01, 6.0, 3) for _ in range(1500)]
+        triples += [np.exp(rng.uniform(-8.0, 3.0, 3)) for _ in range(1500)]
+        compared = 0
+        for alpha, p, q in triples:
+            par = Params(float(alpha), float(p), float(q))
+            cert = epsilon_certificate(par)
+            if isinstance(cert, CertificateRefusal):
+                continue
+            d = np.array(cert.weights)
+            weighted = np.diag(d) @ jacobian(par) @ np.diag(1.0 / d)
+            assert cert.norm_value == float(np.max(np.abs(weighted).sum(axis=1)))
+            compared += 1
+        assert compared > 900
+
 
 class TestClassify:
     def test_example1_globally_stable(self):
