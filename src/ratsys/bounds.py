@@ -8,8 +8,8 @@ each component are dominated termwise by geometric paths
 where a = alpha**-(p+q) < 1, B = alpha**(1-p) + alpha for the x-series
 and alpha**(1-q) + alpha for the y-series, and the seeds are the orbit's
 own values at indices 2 and 3.  Each doubled step x[k] -> x[k+2] divides
-by x[k-2], so the step from index 2 to 4 needs the index-0 value above
-alpha; a component whose index-0 value is at or below alpha seeds its
+by x[k-2], so the step from index 2 to 4 needs the index-0 value to be
+at least alpha; a component whose index-0 value is below alpha seeds its
 even branch at index 4 instead.  The lower bound alpha holds strictly
 from index 1 on.
 """
@@ -117,18 +117,19 @@ def audit_bounds(orbit: Orbit, params: Params, slack: float = 1e-9) -> BoundsAud
 
     # row r holds index r + 1, x then y, so row-major order is index order
     values = np.stack([orbit.xs[3:], orbit.ys[3:]], axis=1)
-    # Python's ** per power, as in `envelope_at`
-    an = np.array([coeffs.a ** n for n in range(last // 2)])
+    fx = 2 if orbit.x_at(0) >= alpha else 4
+    fy = 2 if orbit.y_at(0) >= alpha else 4
+    # a branch seeded past the orbit's end is empty and reads no seed
+    env = envelope_series(coeffs, orbit.x_at(min(fx, last)), orbit.x_at(3),
+                          orbit.y_at(min(fy, last)), orbit.y_at(3), last // 2)
     upper = np.full_like(values, np.nan)  # no envelope before a branch's seed
     seeds = np.zeros(values.shape, dtype=bool)
-    starts = (orbit.x_at(0), orbit.y_at(0))
-    for c, drive in enumerate((coeffs.b, coeffs.c)):
-        for first in (2 if starts[c] > alpha else 4, 3):
-            branch = values[first - 1::2, c]
-            if len(branch):
-                k = an[: len(branch)]
-                upper[first - 1::2, c] = branch[0] * k + drive / (1.0 - coeffs.a) * (1.0 - k)
-                seeds[first - 1, c] = True
+    for c, branches in enumerate((((fx, env.x_even), (3, env.x_odd)),
+                                  ((fy, env.y_even), (3, env.y_odd)))):
+        for first, branch in branches:
+            slot = upper[first - 1::2, c]
+            slot[:] = branch[: len(slot)]
+            seeds[first - 1:first, c] = True
 
     above = values > alpha
     overshoot = values - upper

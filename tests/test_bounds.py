@@ -141,7 +141,7 @@ class TestAudit:
                         assert audit.early_violations == ()
 
     def test_no_violations_for_any_start_up_to_ten(self):
-        # starts anywhere in (0, 10], many at or below alpha: such a
+        # starts anywhere in (0, 10], many below alpha: such a
         # component's even branch is seeded at index 4, and no value
         # leaves its envelope
         rng = np.random.default_rng(11)
@@ -157,7 +157,7 @@ class TestAudit:
                         audit = audit_bounds(orbit, par, slack=1e-9)
                         assert audit.violations == (), (par, init)
                         assert audit.early_violations == ()
-                        reseeded += init.x[2] <= a or init.y[2] <= a
+                        reseeded += init.x[2] < a or init.y[2] < a
         assert reseeded > 300
 
     def test_sub_alpha_start_moves_the_even_seed_to_index_four(self):
@@ -178,6 +178,20 @@ class TestAudit:
         xs[4] = 1.0  # x[2] at or below alpha, with no envelope above it
         audit = audit_bounds(Orbit(par, xs, orbit.ys.copy()), par)
         assert [(v.index, v.component, v.upper) for v in audit.violations] == [(2, "x", None)]
+        # a 3-step orbit ends before index 4, so its x even branch is empty
+        short = simulate(par, InitialConditions((3.0, 4.0, 0.5), (3.0, 4.0, 5.0)), 3)
+        audit = audit_bounds(short, par, slack=-np.inf)
+        assert [(v.index, v.component) for v in audit.early_violations] == [
+            (2, "y"), (3, "x"), (3, "y")]
+
+    def test_start_at_alpha_keeps_the_index_two_seed(self):
+        # the step from index 2 to 4 divides by x[0]; x[0] = alpha is enough
+        par = Params(2.0, 0.6, 0.9)
+        orbit = simulate(par, InitialConditions((3.0, 4.0, 2.0), (3.0, 4.0, 5.0)), 10)
+        audit = audit_bounds(orbit, par, slack=-np.inf)
+        assert [(v.index, v.component) for v in audit.early_violations] == [
+            (2, "x"), (2, "y"), (3, "x"), (3, "y")]
+        assert audit_bounds(orbit, par).violations == ()
 
     def test_max_slack_used_reported(self):
         sc = PRESETS["example1"]
@@ -204,17 +218,17 @@ def convergent_orbits(draw):
 @given(convergent_orbits())
 def test_envelope_recurrence_holds_where_it_is_derived(case):
     # x[k+2] <= a*x[k] + B chains x[k+2] <= alpha + alpha**-p * y[k+1]
-    # (which needs y[k-1] > alpha) and y[k+1] <= alpha + alpha**-q * x[k]
-    # (which needs x[k-2] > alpha); both also need y[k+1] and x[k] of at
+    # (which needs y[k-1] >= alpha) and y[k+1] <= alpha + alpha**-q * x[k]
+    # (which needs x[k-2] >= alpha); both also need y[k+1] and x[k] of at
     # least one, which every iterate (k >= 1) is.  Every such step whose
-    # divisors exceed alpha must obey it, and the audit, which starts a
-    # branch only where they do, is clean.
+    # divisors are at least alpha must obey it, and the audit, which
+    # starts a branch only where they are, is clean.
     par, orbit = case
     c = envelope_coeffs(par)
     steps = 0
     for v, w, drive in ((orbit.xs, orbit.ys, c.b), (orbit.ys, orbit.xs, c.c)):
         for i in range(3, len(v) - 2):  # v[i] holds index k = i - 2
-            if v[i - 2] > par.alpha and w[i - 1] > par.alpha:
+            if v[i - 2] >= par.alpha and w[i - 1] >= par.alpha:
                 assert v[i + 2] <= c.a * v[i] + drive + 1e-9
                 steps += 1
     assert steps > 0

@@ -142,9 +142,9 @@ def ref_audit_bounds(orbit, params, slack=1e-9):
     alpha = params.alpha
     coeffs = envelope_coeffs(params)
     # first index of the even and odd branches: an even branch starts at
-    # index 4 when the component's index-0 value is at or below alpha
-    firsts = {"x": (2 if orbit.x_at(0) > alpha else 4, 3),
-              "y": (2 if orbit.y_at(0) > alpha else 4, 3)}
+    # index 4 when the component's index-0 value is below alpha
+    firsts = {"x": (2 if orbit.x_at(0) >= alpha else 4, 3),
+              "y": (2 if orbit.y_at(0) >= alpha else 4, 3)}
     drives = {"x": coeffs.b / (1.0 - coeffs.a), "y": coeffs.c / (1.0 - coeffs.a)}
     checked = 0
     violations, early = [], []
