@@ -62,15 +62,26 @@ PRESETS: dict[str, Scenario] = {
 def _require(data: dict, key: str, kind, source: str):
     if key not in data:
         raise ParseError(f"{source}: missing key", field=key)
-    value = data[key]
+    return _check(data[key], kind, key, source)
+
+
+def _check(value, kind, key: str, source: str):
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ParseError(f"{source}: integer out of float range", field=key) from None
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind is list and isinstance(value, list):
         return value
     raise ParseError(f"{source}: expected {kind.__name__}, got {type(value).__name__}",
                      field=key)
+
+
+def _floats(data: dict, key: str, source: str) -> tuple[float, ...]:
+    """A list field whose every entry passes the float check, under its own key."""
+    return tuple(_check(v, float, key, source) for v in _require(data, key, list, source))
 
 
 def scenario_from_dict(data: dict, source: str = "scenario") -> Scenario:
@@ -84,17 +95,13 @@ def scenario_from_dict(data: dict, source: str = "scenario") -> Scenario:
     alpha = _require(data, "alpha", float, source)
     p = _require(data, "p", float, source)
     q = _require(data, "q", float, source)
-    x_init = _require(data, "x_init", list, source)
-    y_init = _require(data, "y_init", list, source)
+    x_init = _floats(data, "x_init", source)
+    y_init = _floats(data, "y_init", source)
     try:
         params = Params(alpha, p, q)
+        init = InitialConditions(x_init, y_init)
     except ValueError as exc:
         field = str(exc).split(" ", 1)[0]
-        raise ParseError(f"{source}: {exc}", field=field) from None
-    try:
-        init = InitialConditions(tuple(x_init), tuple(y_init))
-    except (ValueError, TypeError) as exc:
-        field = "x_init" if "x_init" in str(exc) else "y_init"
         raise ParseError(f"{source}: {exc}", field=field) from None
 
     kwargs = {}
@@ -146,6 +153,16 @@ def save_scenario(scenario: Scenario, path) -> None:
     Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "
+                         f"column {exc.colno}: {exc.msg}") from None
+
+
 def load_scenario(source) -> Scenario:
     """Load a scenario from a preset name or a JSON file path."""
     name = str(source)
@@ -157,12 +174,7 @@ def load_scenario(source) -> Scenario:
             raise FileNotFoundError(f"scenario file not found: {path}")
         raise UnknownPresetError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "
-                         f"column {exc.colno}: {exc.msg}") from None
-    return scenario_from_dict(data, source=str(path))
+    return scenario_from_dict(_read_json(path), source=str(path))
 
 
 @dataclass(frozen=True)
@@ -205,9 +217,10 @@ def _axis_from(data: dict, key: str, source: str) -> AxisSpec:
     lo, hi, count = triple
     if isinstance(count, bool) or not isinstance(count, int):
         raise ParseError(f"{source}: axis count must be an integer", field=key)
+    lo, hi = (_check(v, float, key, source) for v in (lo, hi))
     try:
-        return AxisSpec(float(lo), float(hi), count)
-    except (ValueError, TypeError) as exc:
+        return AxisSpec(lo, hi, count)
+    except ValueError as exc:
         raise ParseError(f"{source}: {exc}", field=key) from None
 
 
@@ -227,12 +240,13 @@ def sweep_from_dict(data: dict, source: str = "sweep") -> SweepSpec:
             if key not in ("n_steps", "x_init", "y_init"):
                 raise ParseError(f"{source}: unknown simulate key", field=key)
         kwargs["simulate_steps"] = _require(sim, "n_steps", int, source)
-        x_init = _require(sim, "x_init", list, source)
-        y_init = _require(sim, "y_init", list, source)
+        x_init = _floats(sim, "x_init", source)
+        y_init = _floats(sim, "y_init", source)
         try:
-            init = InitialConditions(tuple(x_init), tuple(y_init))
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"{source}: {exc}", field="simulate") from None
+            init = InitialConditions(x_init, y_init)
+        except ValueError as exc:
+            field = str(exc).split(" ", 1)[0]
+            raise ParseError(f"{source}: {exc}", field=field) from None
         kwargs["x_init"] = init.x
         kwargs["y_init"] = init.y
     return SweepSpec(
@@ -245,11 +259,4 @@ def sweep_from_dict(data: dict, source: str = "sweep") -> SweepSpec:
 
 def load_sweep(path) -> SweepSpec:
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise OSError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "
-                         f"column {exc.colno}: {exc.msg}") from None
-    return sweep_from_dict(data, source=str(path))
+    return sweep_from_dict(_read_json(path), source=str(path))

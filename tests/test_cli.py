@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratsys import (ParseError, UnknownPresetError, analysis, classify,
                     load_scenario, save_scenario)
@@ -58,10 +60,53 @@ class TestScenarios:
             load_scenario(path)
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("field", ["x_init", "y_init"])
+    @pytest.mark.parametrize("entry", ["3", True, None, "a", [1.0], {}])
+    def test_list_entries_get_the_scalar_type_check(self, field, entry):
+        data = scenario_to_dict(PRESETS["example1"])
+        data[field] = [entry, 1, 1]
+        with pytest.raises(ParseError, match="expected float") as err:
+            scenario_from_dict(data)
+        assert err.value.field == field
+
+    def test_integer_beyond_float_range_is_a_parse_error(self):
+        data = scenario_to_dict(PRESETS["example1"])
+        data["x_init"] = [2.5, 10 ** 400, 2.0]
+        with pytest.raises(ParseError, match="out of float range") as err:
+            scenario_from_dict(data)
+        assert err.value.field == "x_init"
+
     def test_n_steps_floor(self):
         with pytest.raises(ValueError):
             Scenario(params=PRESETS["example1"].params,
                      init=PRESETS["example1"].init, n_steps=5)
+
+
+BAD_SCALARS = st.sampled_from(["3", "", True, False, None, [], {}, -1.0, 0.0,
+                                float("inf"), float("nan")])
+BAD_TRIPLES = st.one_of(
+    BAD_SCALARS.filter(lambda v: not isinstance(v, list)),
+    st.lists(st.floats(0.5, 9.0), max_size=5).filter(lambda v: len(v) != 3),
+    # one bad entry among three
+    st.tuples(st.integers(0, 2), BAD_SCALARS).map(
+        lambda t: [1.0] * t[0] + [t[1]] + [1.0] * (2 - t[0])),
+)
+CORRUPTIONS = st.one_of(
+    st.tuples(st.sampled_from(["alpha", "p", "q", "cap"]), BAD_SCALARS),
+    st.tuples(st.just("n_steps"), st.sampled_from(["500", True, None, 9, 0, -3, 12.5])),
+    st.tuples(st.sampled_from(["x_init", "y_init"]), BAD_TRIPLES),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(PRESETS)), CORRUPTIONS)
+def test_corrupting_one_field_names_that_field(preset, corruption):
+    field, value = corruption
+    data = scenario_to_dict(PRESETS[preset])
+    data[field] = value
+    with pytest.raises(ParseError) as err:
+        scenario_from_dict(data)
+    assert err.value.field == field
 
 
 class TestSimulateCommand:
@@ -336,6 +381,33 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == (
             f"error: cannot read {cfg}: No such file or directory\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_directory_config_is_a_read_error(self, tmp_path, capsys, command):
+        assert main([command, "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read {tmp_path}: Is a directory\n")
+
+    @pytest.mark.parametrize("bound", [0, 1])
+    @pytest.mark.parametrize("entry", ["0.5", True, None])
+    def test_axis_bounds_get_the_scalar_type_check(self, bound, entry):
+        axis = [0.5, 3.0, 3]
+        axis[bound] = entry
+        data = {"alpha": [1.5, 2.0, 2], "p": axis, "q": [0.3, 0.9, 2]}
+        with pytest.raises(ParseError, match="expected float") as err:
+            sweep_from_dict(data)
+        assert err.value.field == "p"
+
+    @pytest.mark.parametrize("field", ["x_init", "y_init"])
+    @pytest.mark.parametrize("entry", ["3", True, None, -1.0])
+    def test_simulate_entries_name_their_field(self, field, entry):
+        sim = {"n_steps": 20, "x_init": [2.5, 6.0, 2.0], "y_init": [4.0, 2.0, 5.0]}
+        sim[field] = [1.0, entry, 1.0]
+        data = {"alpha": [2.0, 2.0, 1], "p": [0.6, 0.6, 1], "q": [0.9, 0.9, 1],
+                "simulate": sim}
+        with pytest.raises(ParseError) as err:
+            sweep_from_dict(data)
+        assert err.value.field == field
 
     def test_unknown_simulate_key_rejected(self, tmp_path, capsys):
         data = {"alpha": [2.0, 2.0, 1], "p": [0.6, 0.6, 1], "q": [0.9, 0.9, 1],

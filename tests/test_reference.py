@@ -9,6 +9,7 @@ orbits, and starts below alpha (which overshoot the envelope at index 4).
 """
 
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -17,9 +18,10 @@ from hypothesis import strategies as st
 
 from ratsys import (ConvergenceError, Equilibrium, InitialConditions, Orbit,
                     Params, audit_bounds, classify, classify_oscillation,
-                    detect_monotone_tail, equilibrium, semicycles, simulate)
+                    detect_monotone_tail, equilibrium, find_period2,
+                    semicycles, simulate)
 from ratsys.analysis import (MIN_ORBIT_POINTS, MIN_TAIL_LEN, MonotoneTail,
-                             SemiCycle, SemiCycleDecomposition,
+                             Period2Result, SemiCycle, SemiCycleDecomposition,
                              resolved_prefix, settling_index)
 from ratsys.bounds import BoundsAudit, Violation, envelope_coeffs
 
@@ -197,6 +199,44 @@ def ref_cubic_spectrum(params, tol=1e-12, max_iter=500):
     return tuple(ordered), residual
 
 
+def ref_find_period2(params, grid_points=11, box=None):
+    """Three applications of the second-iterate map to every start of the
+    4-d grid of alternating states (A, B, A, B, ...)."""
+    alpha, p, q = params.alpha, params.p, params.q
+    bar = alpha + 1.0
+
+    def second_iterate(ax, ay, bx, by):
+        return (alpha + (bar / by) ** p, alpha + (bar / bx) ** q,
+                np.full_like(bx, bar), np.full_like(by, bar))
+
+    with np.errstate(all="ignore"):
+        if box is None:
+            axis = np.linspace(alpha, alpha + 10.0, grid_points + 1)[1:]
+        elif box[0] == box[1]:
+            axis = np.array([float(box[0])])
+        else:
+            axis = np.linspace(float(box[0]), float(box[1]), grid_points)
+        state = np.stack([g.ravel() for g in np.meshgrid(axis, axis, axis, axis)])
+        diverged = np.zeros(state.shape[1], dtype=bool)
+        for _ in range(3):
+            prev = state
+            state = np.stack(second_iterate(*state))
+            diverged |= ~np.all(np.isfinite(state) & (state > 0.0), axis=0)
+    moved = np.any(state != prev, axis=0) & ~diverged
+    converged = ~moved & ~diverged
+    counts = (int(np.count_nonzero(converged)), int(np.count_nonzero(diverged)),
+              int(np.count_nonzero(moved)))
+    if counts[0] == 0:
+        return Period2Result(False, None, float("nan"), *counts)
+    conv = state[:, converged]
+    residuals = np.max(np.abs(conv - bar), axis=0)
+    worst = int(np.argmax(residuals))
+    witness = ((float(conv[0, worst]), float(conv[1, worst])),
+               (float(conv[2, worst]), float(conv[3, worst])))
+    return Period2Result(bool(residuals[worst] > 1e-6), witness,
+                         float(residuals[worst]), *counts)
+
+
 # --------------------------------------------------------------------------
 # Generated orbits
 
@@ -274,6 +314,25 @@ def test_generated_batch_covers_the_cases():
     leaks = [v for par, o in cases if par.alpha > 1.0 and o.last_index >= 3
              for v in audit_bounds(o, par).violations if v.index == 4]
     assert leaks, "expected starts below alpha to overshoot at index 4"
+
+
+# boxes through 0, below 0, spanning the float range, with non-finite
+# ends, and single points; None is the default axis above alpha
+INF, NAN = float("inf"), float("nan")
+PERIOD2_BOXES = (None, (0.0, 2.0), (-1.0, 2.0), (-2.0, -0.5), (1e-300, 1e300),
+                 (-1e300, 1e300), (INF, 1.0), (1.0, INF), (-INF, INF),
+                 (NAN, 1.0), (3.0, 3.0), (0.0, 0.0))
+
+
+def period2_params():
+    """Non-integer, integer (negative bases stay finite), huge and tiny
+    exponents, and alphas from 1e-300 to 1e300."""
+    rng = np.random.default_rng(11)
+    out = [Params(*rng.uniform(0.05, 5.0, 3)) for _ in range(3)]
+    out += [Params(rng.uniform(0.05, 5.0), float(rng.integers(1, 5)),
+                   float(rng.integers(1, 5))) for _ in range(3)]
+    out += [Params(1e-300, 300.0, 1e-9), Params(1e300, 0.5, 7.0)]
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -367,6 +426,30 @@ def test_classify_matches_reference_spectrum():
         assert report.eigenvalues == eigs
         assert report.char_residual == residual
         assert report.spectral_radius == max(abs(z) for z in eigs)
+
+
+def test_find_period2_matches_reference_loop():
+    results = []
+    for par in period2_params():
+        for grid_points in range(1, 12):
+            for box in PERIOD2_BOXES:
+                res = find_period2(par, grid_points=grid_points, box=box)
+                assert repr(res) == repr(ref_find_period2(par, grid_points, box))
+                results.append(res)
+    assert len(results) >= 1000
+    starts = [r.converged + r.diverged for r in results]
+    assert sum(r.converged == 0 for r in results) > 100
+    assert sum(0 < r.converged < n for r, n in zip(results, starts)) > 100
+    assert sum(r.converged == n for r, n in zip(results, starts)) > 100
+
+
+def test_find_period2_raises_no_runtime_warning():
+    # the loop warns here: division by 0, negative bases, overflow, inf - inf
+    for par in period2_params():
+        for box in PERIOD2_BOXES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                find_period2(par, grid_points=5, box=box)
 
 
 # --------------------------------------------------------------------------
