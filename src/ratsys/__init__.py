@@ -22,9 +22,9 @@ from .errors import (ConvergenceError, DomainError, InsufficientDataError,
 from .scenarios import (PRESETS, Scenario, SweepSpec, Tolerances,
                         load_scenario, load_sweep, save_scenario)
 from .stability import (CertificateRefusal, EpsilonCertificate,
-                        StabilityReport, char_poly, classify, eigenvalues,
-                        epsilon_certificate, jacobian, polynomial_roots,
-                        spectral_radius)
+                        StabilityReport, char_poly, classify, classify_batch,
+                        eigenvalues, epsilon_certificate, jacobian,
+                        polynomial_roots, spectral_radius)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,7 @@ __all__ = [
     "envelope_at", "envelope_series", "audit_bounds",
     "StabilityReport", "EpsilonCertificate", "CertificateRefusal",
     "jacobian", "char_poly", "polynomial_roots", "eigenvalues",
-    "spectral_radius", "epsilon_certificate", "classify",
+    "spectral_radius", "epsilon_certificate", "classify", "classify_batch",
     "ErrorVector", "RateEstimate", "error_norms", "error_sequence",
     "estimate_rate", "final_convergence", "match_eigenvalue", "rate_report",
     "Scenario", "SweepSpec", "Tolerances", "load_scenario", "load_sweep",

@@ -257,26 +257,20 @@ def cmd_sweep(args) -> int:
         header.append("converged")
         init = InitialConditions(sweep.x_init, sweep.y_init)
         tol = Tolerances().convergence_tol
+    nodes = [Params(float(alpha), float(p), float(q))
+             for alpha in sweep.alpha.values()
+             for p in sweep.p.values()
+             for q in sweep.q.values()]
     rows = []
-    for alpha in sweep.alpha.values():
-        for p in sweep.p.values():
-            for q in sweep.q.values():
-                params = Params(float(alpha), float(p), float(q))
-                try:
-                    report = stability.classify(params)
-                    radius = _fmt(report.spectral_radius)
-                    label = report.classification
-                except ConvergenceError:
-                    radius = ""
-                    label = "convergence-error"
-                row = [_fmt(params.alpha), _fmt(params.p), _fmt(params.q),
-                       radius, label]
-                if sweep.simulate_steps is not None:
-                    converged, _dev = convergence.final_convergence(
-                        simulate(params, init, sweep.simulate_steps),
-                        equilibrium(params), tol)
-                    row.append("yes" if converged else "no")
-                rows.append(row)
+    for params, verdict in zip(nodes, stability.classify_batch(nodes)):
+        radius, label = (_fmt(verdict[0]), verdict[1]) if verdict else ("", "convergence-error")
+        row = [_fmt(params.alpha), _fmt(params.p), _fmt(params.q), radius, label]
+        if sweep.simulate_steps is not None:
+            converged, _dev = convergence.final_convergence(
+                simulate(params, init, sweep.simulate_steps),
+                equilibrium(params), tol)
+            row.append("yes" if converged else "no")
+        rows.append(row)
     with _open_out(args.out) as out:
         if args.format == "text":
             widths = [max(len(header[i]), max((len(r[i]) for r in rows), default=0))

@@ -124,7 +124,8 @@ def scenario_from_dict(data: dict, source: str = "scenario") -> Scenario:
         try:
             kwargs["tolerances"] = Tolerances(**tkw)
         except ValueError as exc:
-            raise ParseError(f"{source}: {exc}", field="tolerances") from None
+            field = str(exc).split(" ", 1)[0]
+            raise ParseError(f"{source}: {exc}", field=field) from None
     try:
         return Scenario(params=params, init=init, **kwargs)
     except ValueError as exc:
@@ -161,6 +162,9 @@ def _read_json(path: Path):
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "
                          f"column {exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text at byte {exc.start}: "
+                         f"{exc.reason}") from None
 
 
 def load_scenario(source) -> Scenario:

@@ -7,9 +7,12 @@ from the x-lags into y, over two shift chains.  Its characteristic
 polynomial lambda^6 - s^2 (lambda^2 - 1)^2, s = sqrt(pq)/(alpha+1), has as
 roots those of the cubic lambda^3 - s lambda^2 + s and their negatives;
 `classify` solves the cubic by a Durand-Kerner iteration, so no external
-eigensolver is involved.  `eigenvalues` handles any square matrix through
-Faddeev-LeVerrier coefficients and the same iteration.  The cubic's Jury
-conditions reduce to 2pq < (alpha+1)^2, which `classify` decides exactly.
+eigensolver is involved.  `classify_batch` solves many triples' cubics in
+one iteration over an (N, 3) block of roots, and `eigenvalues` handles any
+square matrix through Faddeev-LeVerrier coefficients; all of them run the
+one engine, `_durand_kerner`, in which each row stops on its own test.  The
+cubic's Jury conditions reduce to 2pq < (alpha+1)^2, which `_label`
+decides exactly.
 
 A diagonal similarity with weights (1, 1-2e, 1-3e) per chain makes the
 induced infinity norm of the conjugated matrix a cheap certificate: when
@@ -19,6 +22,7 @@ the norm is below one, so is the spectral radius.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +106,54 @@ def char_poly(matrix: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def _durand_kerner(coeffs: np.ndarray, tol: float,
+                   max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of each row of an (N, n+1) coefficient block, and which rows
+    converged.
+
+    Each row is normalized to monic and iterated as `polynomial_roots`
+    describes.  It freezes after the iteration in which its own largest
+    correction passes its own stop test, so every row does exactly the
+    arithmetic of a one-row call.  A non-finite root makes the row's next
+    correction NaN (Horner starts from 0 * root), which no stop test
+    passes, so that row retires at once, silently and unconverged; so does
+    a row still moving after `max_iter` iterations.  Unconverged rows hold
+    NaN roots.
+    """
+    with np.errstate(all="ignore"):
+        coeffs = coeffs / coeffs[:, :1]
+        rows, n = coeffs.shape[0], coeffs.shape[1] - 1
+        # each row's radius and stop test from Python floats, as for one row
+        magnitudes = np.abs(coeffs[:, 1:]).tolist()
+        radius = np.array([1.0 + max(m) for m in magnitudes])
+        stops = np.array([tol * max(1.0, *(m ** (1.0 / k) for k, m in enumerate(row, 1)))
+                          for row in magnitudes])
+        angles = 2.0 * np.pi * np.arange(n) / n + 0.4
+        roots = radius[:, None] * np.exp(1j * angles)
+        found = np.full((rows, n), complex(math.nan, math.nan))
+        converged = np.zeros(rows, dtype=bool)
+        active = np.arange(rows)
+        terms = list(coeffs.T[:, :, None])
+        for _ in range(max_iter):
+            if not active.size:
+                break
+            pvals = np.zeros(roots.shape, dtype=np.complex128)  # Horner, as np.polyval
+            for c in terms:
+                pvals = pvals * roots + c
+            diffs = roots[:, :, None] - roots[:, None, :]
+            diffs.reshape(-1, n * n)[:, ::n + 1] = 1.0
+            delta = pvals / diffs.prod(axis=2)
+            roots = roots - delta
+            error = np.abs(delta).max(axis=1)  # NaN: neither done nor kept
+            done, keep = error <= stops, error > stops
+            if not keep.all():
+                found[active[done]] = roots[done]
+                converged[active[done]] = True
+                active, stops, roots = active[keep], stops[keep], roots[keep]
+                terms = [c[keep] for c in terms]
+    return found, converged
+
+
 def polynomial_roots(coeffs: np.ndarray,
                      tol: float = DEFAULT_EIGEN_TOL,
                      max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
@@ -110,29 +162,17 @@ def polynomial_roots(coeffs: np.ndarray,
     Roots are updated simultaneously until the largest correction falls
     below `tol` times the root scale max(1, max_k |c_k|**(1/k)) of the
     monic coefficients (Fujiwara: no root exceeds twice it), so rounding
-    cannot keep large roots from passing the test; exhausting `max_iter`
-    raises ConvergenceError.
+    cannot keep large roots from passing the test; exhausting `max_iter`,
+    or a root overflowing to a non-finite value, raises ConvergenceError.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if len(coeffs) < 2 or coeffs[0] == 0:
         raise ValueError("polynomial must have a nonzero leading coefficient")
-    coeffs = coeffs / coeffs[0]
-    n = len(coeffs) - 1
-    magnitudes = np.abs(coeffs[1:]).tolist()
-    radius = 1.0 + max(magnitudes)
-    stop = tol * max(1.0, *(m ** (1.0 / k) for k, m in enumerate(magnitudes, 1)))
-    angles = 2.0 * np.pi * np.arange(n) / n + 0.4
-    roots = radius * np.exp(1j * angles)
-    for _ in range(max_iter):
-        pvals = np.polyval(coeffs, roots)
-        diffs = roots[:, None] - roots[None, :]
-        np.fill_diagonal(diffs, 1.0)
-        delta = pvals / diffs.prod(axis=1)
-        roots = roots - delta
-        if float(np.max(np.abs(delta))) <= stop:
-            return roots
-    raise ConvergenceError(
-        f"root iteration did not reach tol={tol:g} within {max_iter} iterations")
+    roots, converged = _durand_kerner(coeffs[None, :], tol, max_iter)
+    if not converged[0]:
+        raise ConvergenceError(
+            f"root iteration did not reach tol={tol:g} within {max_iter} iterations")
+    return roots[0]
 
 
 def eigenvalues(matrix: np.ndarray,
@@ -185,11 +225,16 @@ def epsilon_certificate(params: Params) -> EpsilonCertificate | CertificateRefus
     )
 
 
+def _coupling(params: Params) -> float:
+    """s = sqrt(pq)/(alpha+1), the one coefficient of the cubic."""
+    return math.sqrt(params.p * params.q) / (params.alpha + 1.0)
+
+
 def _closed_form_spectrum(params: Params,
                           tol: float) -> tuple[tuple[complex, ...], float]:
     """Eigenvalues of `jacobian(params)` from the cubic, and the largest
     |lambda^6 - s^2 (lambda^2 - 1)^2| over them as the residual."""
-    s = math.sqrt(params.p * params.q) / (params.alpha + 1.0)
+    s = _coupling(params)
     roots = polynomial_roots(np.array([1.0, -s, 0.0, s]), tol=tol)
     lam = np.concatenate([roots, -roots])
     residual = float(np.max(np.abs(lam**6 - s * s * (lam**2 - 1.0) ** 2)))
@@ -206,32 +251,44 @@ def _jury_sign(params: Params) -> int:
     return (diff > 0) - (diff < 0)
 
 
-def classify(params: Params,
-             eigen_tol: float = DEFAULT_EIGEN_TOL) -> StabilityReport:
-    """Full stability report for a parameter triple.
+def _label(params: Params) -> str:
+    """The classification of a parameter triple.
 
     The global verdict needs alpha > 1 and 0 < p, q <= 1; otherwise the
     label is the exact sign of 2pq - (alpha+1)^2 (see `_jury_sign`), with
     "inconclusive" only on the boundary itself.  Within about 1e-15 of
     the boundary the computed radius may sit on the other side of one.
     """
+    if params.alpha > 1.0 and 0.0 < params.p <= 1.0 and 0.0 < params.q <= 1.0:
+        return CLASS_GLOBAL
+    return (CLASS_LOCAL, CLASS_INCONCLUSIVE, CLASS_UNSTABLE)[_jury_sign(params) + 1]
+
+
+def classify(params: Params,
+             eigen_tol: float = DEFAULT_EIGEN_TOL) -> StabilityReport:
+    """Full stability report for a parameter triple, labelled by `_label`."""
     eigs, residual = _closed_form_spectrum(params, eigen_tol)
-    rho = spectral_radius(eigs)
     cert = epsilon_certificate(params)
-    certificate = cert if isinstance(cert, EpsilonCertificate) else None
-    refusal = cert.reason if isinstance(cert, CertificateRefusal) else None
-    meets_global = params.alpha > 1.0 and 0.0 < params.p <= 1.0 and 0.0 < params.q <= 1.0
-    if meets_global:
-        classification = CLASS_GLOBAL
-    else:
-        classification = (CLASS_LOCAL, CLASS_INCONCLUSIVE,
-                          CLASS_UNSTABLE)[_jury_sign(params) + 1]
+    classification = _label(params)
     return StabilityReport(
         eigenvalues=eigs,
-        spectral_radius=rho,
+        spectral_radius=spectral_radius(eigs),
         char_residual=residual,
-        certificate=certificate,
-        certificate_refusal=refusal,
-        meets_global_conditions=meets_global,
+        certificate=cert if isinstance(cert, EpsilonCertificate) else None,
+        certificate_refusal=cert.reason if isinstance(cert, CertificateRefusal) else None,
+        meets_global_conditions=classification == CLASS_GLOBAL,
         classification=classification,
     )
+
+
+def classify_batch(nodes: Sequence[Params],
+                   eigen_tol: float = DEFAULT_EIGEN_TOL) -> list[tuple[float, str] | None]:
+    """(spectral radius, classification) of every triple, equal to what
+    `classify` reports, from one Durand-Kerner iteration over all their
+    cubics; None where `classify` raises ConvergenceError."""
+    s = np.fromiter(map(_coupling, nodes), dtype=np.float64, count=len(nodes))
+    cubics = np.zeros((len(nodes), 4), dtype=np.complex128)
+    cubics[:, 0], cubics[:, 1], cubics[:, 3] = 1.0, -s, s
+    roots, converged = _durand_kerner(cubics, eigen_tol, DEFAULT_MAX_ITER)
+    return [(spectral_radius(row.tolist()), _label(par)) if ok else None
+            for par, row, ok in zip(nodes, roots, converged)]

@@ -76,6 +76,14 @@ class TestScenarios:
             scenario_from_dict(data)
         assert err.value.field == "x_init"
 
+    @pytest.mark.parametrize("key", ["convergence_tol", "bound_slack", "eigen_tol"])
+    def test_bad_tolerance_value_names_its_key(self, key):
+        data = scenario_to_dict(PRESETS["example1"])
+        data["tolerances"][key] = -1.0
+        with pytest.raises(ParseError, match="must be positive") as err:
+            scenario_from_dict(data)
+        assert err.value.field == key
+
     def test_n_steps_floor(self):
         with pytest.raises(ValueError):
             Scenario(params=PRESETS["example1"].params,
@@ -215,6 +223,12 @@ class TestStabilityCommand:
         assert fields[:3] == ["1.5", "0.5", "0.5"]
         assert float(fields[3]) < 1.0
         assert fields[4] == "globally-asymptotically-stable"
+
+    def test_overflowing_cubic_exits_3_without_warnings(self, capsys):
+        # the cubic overflows binary64; tier-1 turns any RuntimeWarning into an error
+        assert main(["stability", "--alpha", "1", "--p", "1e154", "--q", "1e154"]) == 3
+        assert capsys.readouterr().err == (
+            "error: root iteration did not reach tol=1e-12 within 500 iterations\n")
 
     def test_partial_explicit_params_rejected(self, capsys):
         assert main(["stability", "--alpha", "1.5"]) == 2
@@ -387,6 +401,14 @@ class TestSweepCommand:
         assert main([command, "--config", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
             f"error: cannot read {tmp_path}: Is a directory\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_non_utf8_config_is_a_parse_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "utf16.json"
+        cfg.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: not UTF-8 text at byte 0: invalid start byte\n")
 
     @pytest.mark.parametrize("bound", [0, 1])
     @pytest.mark.parametrize("entry", ["0.5", True, None])

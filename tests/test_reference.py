@@ -1,4 +1,5 @@
-"""The array code in `analysis`, `bounds` and `stability` against loop references.
+"""The array code in `analysis`, `bounds`, `stability` and `ratsys sweep`
+against loop references.
 
 The references below are the plain loops these functions used to be.
 Every comparison is `==`, so floats must agree bit for bit.  The
@@ -8,22 +9,26 @@ the equilibrium, constant and three-valued orbits, strictly alternating
 orbits, and starts below alpha (which overshoot the envelope at index 4).
 """
 
+import json
 import math
 import warnings
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratsys import (ConvergenceError, Equilibrium, InitialConditions, Orbit,
-                    Params, audit_bounds, classify, classify_oscillation,
-                    detect_monotone_tail, equilibrium, find_period2,
-                    semicycles, simulate)
+                    Params, Tolerances, audit_bounds, classify, classify_batch,
+                    classify_oscillation, detect_monotone_tail, equilibrium,
+                    final_convergence, find_period2, semicycles, simulate)
 from ratsys.analysis import (MIN_ORBIT_POINTS, MIN_TAIL_LEN, MonotoneTail,
                              Period2Result, SemiCycle, SemiCycleDecomposition,
                              resolved_prefix, settling_index)
 from ratsys.bounds import BoundsAudit, Violation, envelope_coeffs
+from ratsys.cli import main
+from ratsys.scenarios import sweep_from_dict
 
 ORBIT_FAMILIES = (
     (2.0, 0.6, 0.9), (1.3, 0.9, 0.8), (2.0, 1.0, 1.0),  # convergent
@@ -197,6 +202,22 @@ def ref_cubic_spectrum(params, tol=1e-12, max_iter=500):
     residual = float(np.max(np.abs(lam**6 - s * s * (lam**2 - 1.0) ** 2)))
     ordered = sorted((complex(z) for z in lam), key=lambda z: (z.real, z.imag))
     return tuple(ordered), residual
+
+
+def ref_sweep_rows(nodes):
+    """The per-node loop `ratsys sweep` ran: one `classify` per node, giving
+    (spectral radius, classification), or None where it raises."""
+    rows = []
+    # the residual, which no row reads, overflows for couplings above ~1e51
+    with np.errstate(all="ignore"):
+        for par in nodes:
+            try:
+                report = classify(par)
+            except ConvergenceError:
+                rows.append(None)
+            else:
+                rows.append((report.spectral_radius, report.classification))
+    return rows
 
 
 def ref_find_period2(params, grid_points=11, box=None):
@@ -426,6 +447,81 @@ def test_classify_matches_reference_spectrum():
         assert report.eigenvalues == eigs
         assert report.char_residual == residual
         assert report.spectral_radius == max(abs(z) for z in eigs)
+
+
+DOUBLE_ROOT_SIDE = 5.196152422706632  # p = q at the cubic's double root, alpha = 1
+
+
+def map_sweep(seed, count):
+    """A sweep file on the benchmark's stability-map axis recipe."""
+    rng = np.random.default_rng(seed)
+    return {"alpha": [0.2 + 0.1 * rng.random(), 3.0 + 0.2 * rng.random(), count],
+            "p": [0.1 + 0.05 * rng.random(), 3.0 + 0.1 * rng.random(), count],
+            "q": [0.1 + 0.05 * rng.random(), 3.0 + 0.1 * rng.random(), count]}
+
+
+def sweep_nodes(data):
+    """The nodes of a sweep file, in the sweep's row order."""
+    spec = sweep_from_dict(data)
+    return [Params(float(a), float(p), float(q)) for a in spec.alpha.values()
+            for p in spec.p.values() for q in spec.q.values()]
+
+
+def test_classify_batch_matches_the_per_node_loop():
+    maps = [par for seed in range(4) for par in sweep_nodes(map_sweep(seed, 6))]
+    log_s = [Params(1.0, 2.0 * s, 2.0 * s) for s in np.geomspace(1e-3, 1e7, 400)]
+    band = [Params(1.0, float(v), float(v)) for v in np.linspace(
+        DOUBLE_ROOT_SIDE * (1 - 1e-10), DOUBLE_ROOT_SIDE * (1 + 1e-10), 801)]
+    couplings = np.geomspace(1e40, 1e300, 40)
+    overflow = [Params(alpha, float(v), float(w)) for alpha in (0.5, 1.0, 3.0)
+                for v in couplings for w in (float(v), 0.7)]
+    raised = []
+    for nodes in (maps, log_s, band, overflow):
+        rows = classify_batch(nodes)
+        assert rows == ref_sweep_rows(nodes)
+        raised.append(rows.count(None))
+    assert raised[:3] == [0, 0, 131] and 0 < raised[3] < len(overflow)
+
+
+SWEEP_FILES = {
+    "map": map_sweep(0, 6),
+    "overflow": {"alpha": [0.5, 3.0, 3], "p": [1e40, 1e200, 6], "q": [0.5, 1e200, 5]},
+    "simulate": dict(map_sweep(1, 5), simulate={
+        "n_steps": 40, "x_init": [2.5, 6.0, 2.0], "y_init": [4.0, 2.0, 5.0]}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+@pytest.mark.parametrize("name", sorted(SWEEP_FILES))
+def test_sweep_output_equals_the_reference_rows(tmp_path, capsys, name, fmt):
+    data = SWEEP_FILES[name]
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(cfg), "--format", fmt]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    nodes = sweep_nodes(data)
+    rows = ref_sweep_rows(nodes)
+    assert (None in rows) == (name == "overflow")
+    sim = data.get("simulate")
+    expected = []
+    for par, row in zip(nodes, rows):
+        cells = [repr(par.alpha), repr(par.p), repr(par.q)]
+        cells += ["", "convergence-error"] if row is None else [repr(row[0]), row[1]]
+        if sim is not None:
+            orbit = simulate(par, InitialConditions(sim["x_init"], sim["y_init"]),
+                             sim["n_steps"])
+            converged, _ = final_convergence(orbit, equilibrium(par),
+                                             Tolerances().convergence_tol)
+            cells.append("yes" if converged else "no")
+        expected.append(cells)
+    lines = out.out.splitlines()
+    assert len(lines) == 1 + len(nodes)
+    if fmt == "csv":
+        assert [line.split(",") for line in lines[1:]] == expected
+    else:
+        assert [line.split() for line in lines[1:]] == [
+            [c for c in cells if c] for cells in expected]
 
 
 def test_find_period2_matches_reference_loop():
