@@ -281,14 +281,13 @@ def classify(params: Params,
     )
 
 
-def classify_batch(nodes: Sequence[Params],
-                   eigen_tol: float = DEFAULT_EIGEN_TOL) -> list[tuple[float, str] | None]:
+def classify_batch(nodes: Sequence[Params]) -> list[tuple[float, str] | None]:
     """(spectral radius, classification) of every triple, equal to what
     `classify` reports, from one Durand-Kerner iteration over all their
     cubics; None where `classify` raises ConvergenceError."""
     s = np.fromiter(map(_coupling, nodes), dtype=np.float64, count=len(nodes))
     cubics = np.zeros((len(nodes), 4), dtype=np.complex128)
     cubics[:, 0], cubics[:, 1], cubics[:, 3] = 1.0, -s, s
-    roots, converged = _durand_kerner(cubics, eigen_tol, DEFAULT_MAX_ITER)
+    roots, converged = _durand_kerner(cubics, DEFAULT_EIGEN_TOL, DEFAULT_MAX_ITER)
     return [(spectral_radius(row.tolist()), _label(par)) if ok else None
             for par, row, ok in zip(nodes, roots, converged)]
