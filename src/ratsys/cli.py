@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from contextlib import contextmanager
+
+import numpy as np
 
 from . import analysis, bounds, convergence, stability
 from .dynamics import InitialConditions, Orbit, Params, equilibrium, simulate
@@ -253,35 +256,39 @@ def cmd_rate(args) -> int:
 def cmd_sweep(args) -> int:
     sweep = load_sweep(args.config)
     header = ["alpha", "p", "q", "spectral_radius", "classification"]
+    axes = [axis.values() for axis in (sweep.alpha, sweep.p, sweep.q)]
+    # node i sits at these axis positions: alpha outermost, q innermost
+    positions = np.indices([len(v) for v in axes]).reshape(3, -1)
+    grid = [v[at] for v, at in zip(axes, positions)]
+    # finite 0 < lo <= hi axes give positive finite nodes, which Params would pass
+    radius, labels = stability.sweep_spectrum(*grid)
+    # tolist() gives Python floats, whose repr is `_fmt`; each axis value once
+    cells = [list(map(repr, v.tolist())) for v in axes]
+    columns = [[c[k] for k in at] for c, at in zip(cells, positions.tolist())]
+    radius_cells = ["" if math.isnan(r) else repr(r) for r in radius.tolist()]
+    columns.append(radius_cells)
+    columns.append([label if cell else "convergence-error"
+                    for cell, label in zip(radius_cells, labels)])
     if sweep.simulate_steps is not None:
         header.append("converged")
         init = InitialConditions(sweep.x_init, sweep.y_init)
         tol = Tolerances().convergence_tol
-    nodes = [Params(float(alpha), float(p), float(q))
-             for alpha in sweep.alpha.values()
-             for p in sweep.p.values()
-             for q in sweep.q.values()]
-    rows = []
-    for params, verdict in zip(nodes, stability.classify_batch(nodes)):
-        radius, label = (_fmt(verdict[0]), verdict[1]) if verdict else ("", "convergence-error")
-        row = [_fmt(params.alpha), _fmt(params.p), _fmt(params.q), radius, label]
-        if sweep.simulate_steps is not None:
-            converged, _dev = convergence.final_convergence(
-                simulate(params, init, sweep.simulate_steps),
-                equilibrium(params), tol)
-            row.append("yes" if converged else "no")
-        rows.append(row)
+        converged = []
+        for node in zip(*(v.tolist() for v in grid)):
+            params = Params(*node)
+            ok, _dev = convergence.final_convergence(
+                simulate(params, init, sweep.simulate_steps), equilibrium(params), tol)
+            converged.append("yes" if ok else "no")
+        columns.append(converged)
+    rows = [header, *zip(*columns)]
     with _open_out(args.out) as out:
         if args.format == "text":
-            widths = [max(len(header[i]), max((len(r[i]) for r in rows), default=0))
-                      for i in range(len(header))]
-            out.write("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip() + "\n")
-            for row in rows:
-                out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
+            widths = [max(len(h), *map(len, col)) for h, col in zip(header, columns)]
+            lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
+                     for row in rows]
         else:
-            out.write(",".join(header) + "\n")
-            for row in rows:
-                out.write(",".join(row) + "\n")
+            lines = [",".join(row) for row in rows]
+        out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

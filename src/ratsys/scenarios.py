@@ -188,6 +188,8 @@ class AxisSpec:
     count: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"axis bounds must be finite, got lo={self.lo}, hi={self.hi}")
         if self.lo <= 0:
             raise ValueError(f"axis lo must be > 0, got {self.lo}")
         if self.count < 1:

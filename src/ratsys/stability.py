@@ -7,12 +7,16 @@ from the x-lags into y, over two shift chains.  Its characteristic
 polynomial lambda^6 - s^2 (lambda^2 - 1)^2, s = sqrt(pq)/(alpha+1), has as
 roots those of the cubic lambda^3 - s lambda^2 + s and their negatives;
 `classify` solves the cubic by a Durand-Kerner iteration, so no external
-eigensolver is involved.  `classify_batch` solves many triples' cubics in
-one iteration over an (N, 3) block of roots, and `eigenvalues` handles any
-square matrix through Faddeev-LeVerrier coefficients; all of them run the
-one engine, `_durand_kerner`, in which each row stops on its own test.  The
-cubic's Jury conditions reduce to 2pq < (alpha+1)^2, which `_label`
-decides exactly.
+eigensolver is involved.  `eigenvalues` handles any square matrix through
+Faddeev-LeVerrier coefficients.  Both run the one engine, `_durand_kerner`,
+which iterates an (N, n) block of roots in which each row stops on its own
+test.  The cubic's Jury conditions reduce to 2pq < (alpha+1)^2, which
+`_label` decides exactly.
+
+`ratsys sweep` calls the array core `sweep_spectrum` once for its grid
+(`classify_batch` adapts it to a list of `Params`); it equals `classify`
+bit for bit by taking radii from libm's `np.hypot`, not the SIMD `np.abs`,
+and labels from the exact `_jury_sign` within `JURY_MARGIN` of the boundary.
 
 A diagonal similarity with weights (1, 1-2e, 1-3e) per chain makes the
 induced infinity norm of the conjugated matrix a cheap certificate: when
@@ -123,11 +127,12 @@ def _durand_kerner(coeffs: np.ndarray, tol: float,
     with np.errstate(all="ignore"):
         coeffs = coeffs / coeffs[:, :1]
         rows, n = coeffs.shape[0], coeffs.shape[1] - 1
-        # each row's radius and stop test from Python floats, as for one row
-        magnitudes = np.abs(coeffs[:, 1:]).tolist()
-        radius = np.array([1.0 + max(m) for m in magnitudes])
-        stops = np.array([tol * max(1.0, *(m ** (1.0 / k) for k, m in enumerate(row, 1)))
-                          for row in magnitudes])
+        # libm's hypot and pow, as Python's abs(complex) and ** call them;
+        # fmax skips NaN as max(1.0, ...) does
+        magnitudes = np.hypot(coeffs.real[:, 1:], coeffs.imag[:, 1:])
+        radius = 1.0 + magnitudes.max(axis=1)
+        scale = np.float_power(magnitudes, 1.0 / np.arange(1, n + 1))
+        stops = tol * np.fmax.reduce(scale, axis=1, initial=1.0)
         angles = 2.0 * np.pi * np.arange(n) / n + 0.4
         roots = radius[:, None] * np.exp(1j * angles)
         found = np.full((rows, n), complex(math.nan, math.nan))
@@ -233,22 +238,38 @@ def _coupling(params: Params) -> float:
 def _closed_form_spectrum(params: Params,
                           tol: float) -> tuple[tuple[complex, ...], float]:
     """Eigenvalues of `jacobian(params)` from the cubic, and the largest
-    |lambda^6 - s^2 (lambda^2 - 1)^2| over them as the residual."""
+    |lambda^6 - s^2 (lambda^2 - 1)^2| over them as the residual.
+
+    From couplings of about 1e51 up, where the cubic still converges, the
+    terms lambda^6 and s^2 (lambda^2 - 1)^2 overflow binary64; the
+    residual is then reported as inf, meaning "not representable".
+    """
     s = _coupling(params)
     roots = polynomial_roots(np.array([1.0, -s, 0.0, s]), tol=tol)
     lam = np.concatenate([roots, -roots])
-    residual = float(np.max(np.abs(lam**6 - s * s * (lam**2 - 1.0) ** 2)))
+    with np.errstate(all="ignore"):
+        residual = float(np.max(np.abs(lam**6 - s * s * (lam**2 - 1.0) ** 2)))
+    if math.isnan(residual):  # inf - inf or inf * 0 among the overflowed terms
+        residual = math.inf
     ordered = sorted((complex(z) for z in lam), key=lambda z: (z.real, z.imag))
     return tuple(ordered), residual
 
 
-def _jury_sign(params: Params) -> int:
+def _jury_sign(alpha: float, p: float, q: float) -> int:
     """Exact sign (-1, 0 or 1) of 2pq - (alpha+1)^2 on the binary64 inputs."""
-    (an, ad), (pn, pd), (qn, qd) = (v.as_integer_ratio()
-                                    for v in (params.alpha, params.p, params.q))
+    (an, ad), (pn, pd), (qn, qd) = (v.as_integer_ratio() for v in (alpha, p, q))
     # both sides scaled by the positive pd * qd * ad^2
     diff = 2 * pn * qn * ad * ad - (an + ad) ** 2 * pd * qd
     return (diff > 0) - (diff < 0)
+
+
+def _meets_global_conditions(alpha, p, q):
+    """alpha > 1 and 0 < p, q <= 1, on floats or elementwise on arrays."""
+    return (alpha > 1.0) & (0.0 < p) & (p <= 1.0) & (0.0 < q) & (q <= 1.0)
+
+
+# indexed by the Jury sign + 1, and 3 for the global verdict
+_LABELS = (CLASS_LOCAL, CLASS_INCONCLUSIVE, CLASS_UNSTABLE, CLASS_GLOBAL)
 
 
 def _label(params: Params) -> str:
@@ -259,9 +280,9 @@ def _label(params: Params) -> str:
     "inconclusive" only on the boundary itself.  Within about 1e-15 of
     the boundary the computed radius may sit on the other side of one.
     """
-    if params.alpha > 1.0 and 0.0 < params.p <= 1.0 and 0.0 < params.q <= 1.0:
+    if _meets_global_conditions(params.alpha, params.p, params.q):
         return CLASS_GLOBAL
-    return (CLASS_LOCAL, CLASS_INCONCLUSIVE, CLASS_UNSTABLE)[_jury_sign(params) + 1]
+    return _LABELS[_jury_sign(params.alpha, params.p, params.q) + 1]
 
 
 def classify(params: Params,
@@ -281,13 +302,47 @@ def classify(params: Params,
     )
 
 
+# the float d = 2pq - (alpha+1)^2 is off by less than 5e-16 times
+# 2pq + (alpha+1)^2, so beyond this multiple of that sum its sign is exact
+JURY_MARGIN = 1e-14
+
+
+def sweep_spectrum(alpha: np.ndarray, p: np.ndarray,
+                   q: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Spectral radius and classification of every triple (alpha[i], p[i],
+    q[i]) of positive finite floats, equal bit for bit to what `classify`
+    reports, from one Durand-Kerner iteration over all their cubics.
+
+    The radius is NaN where `classify` raises ConvergenceError.  It is the
+    largest `np.hypot` of a row's roots: hypot is libm's, as in Python's
+    abs(complex), while `np.abs` on complex128 may take a SIMD loop that
+    differs in the last bit.  The label decides the Jury sign in float
+    where |2pq - (alpha+1)^2| exceeds `JURY_MARGIN` times 2pq + (alpha+1)^2,
+    and by the exact `_jury_sign` elsewhere: on and next to the boundary,
+    and where the float terms are not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.sqrt(p * q) / (alpha + 1.0)
+        cubics = np.zeros((len(s), 4), dtype=np.complex128)
+        cubics[:, 0], cubics[:, 1], cubics[:, 3] = 1.0, -s, s
+        roots, _ = _durand_kerner(cubics, DEFAULT_EIGEN_TOL, DEFAULT_MAX_ITER)
+        radius = np.hypot(roots.real, roots.imag).max(axis=1)
+        two_pq, shift = 2.0 * p * q, (alpha + 1.0) ** 2
+        d = two_pq - shift
+        index = np.sign(d).astype(np.intp) + 1
+        exact = np.flatnonzero(~(np.abs(d) > JURY_MARGIN * (two_pq + shift)))
+    for i in exact.tolist():
+        index[i] = _jury_sign(float(alpha[i]), float(p[i]), float(q[i])) + 1
+    index[_meets_global_conditions(alpha, p, q)] = 3
+    return radius, [_LABELS[i] for i in index.tolist()]
+
+
 def classify_batch(nodes: Sequence[Params]) -> list[tuple[float, str] | None]:
     """(spectral radius, classification) of every triple, equal to what
-    `classify` reports, from one Durand-Kerner iteration over all their
-    cubics; None where `classify` raises ConvergenceError."""
-    s = np.fromiter(map(_coupling, nodes), dtype=np.float64, count=len(nodes))
-    cubics = np.zeros((len(nodes), 4), dtype=np.complex128)
-    cubics[:, 0], cubics[:, 1], cubics[:, 3] = 1.0, -s, s
-    roots, converged = _durand_kerner(cubics, DEFAULT_EIGEN_TOL, DEFAULT_MAX_ITER)
-    return [(spectral_radius(row.tolist()), _label(par)) if ok else None
-            for par, row, ok in zip(nodes, roots, converged)]
+    `classify` reports; None where `classify` raises ConvergenceError.
+    An adapter over `sweep_spectrum`, the array core `ratsys sweep` calls."""
+    alpha, p, q = np.array([(n.alpha, n.p, n.q) for n in nodes],
+                           dtype=np.float64).reshape(-1, 3).T
+    radius, labels = sweep_spectrum(alpha, p, q)
+    return [None if math.isnan(r) else (r, label)
+            for r, label in zip(radius.tolist(), labels)]

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -230,6 +231,13 @@ class TestStabilityCommand:
         assert capsys.readouterr().err == (
             "error: root iteration did not reach tol=1e-12 within 500 iterations\n")
 
+    def test_overflowing_residual_is_inf_without_warnings(self, capsys):
+        # the cubic converges; its residual's terms exceed binary64
+        assert main(["stability", "--alpha", "1", "--p", "1e60", "--q", "1e60"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert "characteristic residual: inf\n" in out.out
+
     def test_partial_explicit_params_rejected(self, capsys):
         assert main(["stability", "--alpha", "1.5"]) == 2
 
@@ -419,6 +427,23 @@ class TestSweepCommand:
         with pytest.raises(ParseError, match="expected float") as err:
             sweep_from_dict(data)
         assert err.value.field == "p"
+
+    def test_non_finite_axis_bound_is_a_parse_error(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.json"
+        cfg.write_text('{"alpha": [0.5, 1e400, 3], "p": [0.2, 3.0, 4], "q": [0.2, 3.0, 4]}')
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {cfg}: axis bounds must be finite, got lo=0.5, hi=inf (field: alpha)\n"))
+
+    @pytest.mark.parametrize("bound", [0, 1])
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+    def test_axis_bounds_must_be_finite(self, bound, entry):
+        axis = [0.5, 3.0, 3]
+        axis[bound] = entry
+        data = {"alpha": [1.5, 2.0, 2], "p": [0.4, 0.6, 2], "q": axis}
+        with pytest.raises(ParseError, match="axis bounds must be finite") as err:
+            sweep_from_dict(data)
+        assert err.value.field == "q"
 
     @pytest.mark.parametrize("field", ["x_init", "y_init"])
     @pytest.mark.parametrize("entry", ["3", True, None, -1.0])

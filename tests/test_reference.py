@@ -27,6 +27,7 @@ from ratsys.analysis import (MIN_ORBIT_POINTS, MIN_TAIL_LEN, MonotoneTail,
                              Period2Result, SemiCycle, SemiCycleDecomposition,
                              resolved_prefix, settling_index)
 from ratsys.bounds import BoundsAudit, Violation, envelope_coeffs
+from ratsys import stability
 from ratsys.cli import main
 from ratsys.scenarios import sweep_from_dict
 
@@ -481,6 +482,38 @@ def test_classify_batch_matches_the_per_node_loop():
         assert rows == ref_sweep_rows(nodes)
         raised.append(rows.count(None))
     assert raised[:3] == [0, 0, 131] and 0 < raised[3] < len(overflow)
+
+
+def test_sweep_spectrum_settles_the_margin_exactly(monkeypatch):
+    on = [(1.0, 2.0, 1.0), (3.0, 8.0, 1.0)]  # 2pq == (alpha+1)**2 in binary64
+    near = [tuple(math.nextafter(v, toward) if j == i else v for j, v in enumerate(t))
+            for t in on for i in range(3) for toward in (0.0, math.inf)]
+    spread = [(alpha, s * (alpha + 1.0), s * (alpha + 1.0)) for alpha in (0.5, 3.0)
+              for s in np.geomspace(1e-6, 1e300, 120).tolist()]
+    triples = on + near + spread
+    fallback = []
+    exact_sign = stability._jury_sign
+    monkeypatch.setattr(stability, "_jury_sign",
+                        lambda *t: fallback.append(t) or exact_sign(*t))
+    radius, labels = stability.sweep_spectrum(*map(np.array, zip(*triples)))
+    monkeypatch.undo()
+    nodes = [Params(*t) for t in triples]
+    assert labels == [stability._label(par) for par in nodes]
+    assert labels[:2] == ["inconclusive"] * 2
+    assert set(labels[2:14]) == {"unstable", "locally-asymptotically-stable"}
+    raised = 0
+    for par, r in zip(nodes, radius.tolist()):
+        try:
+            expected = classify(par).spectral_radius
+        except ConvergenceError:
+            raised += 1
+            assert math.isnan(r)
+        else:
+            assert r == expected
+    # the boundary, its neighbours, and every row whose 2pq overflows
+    overflowing = sum(math.isinf(2.0 * p * q) for _alpha, p, q in spread)
+    assert len(fallback) == len(on) + len(near) + overflowing
+    assert overflowing > 0 and raised > 0
 
 
 SWEEP_FILES = {
