@@ -23,11 +23,11 @@ from ratsys import (ConvergenceError, Equilibrium, InitialConditions, Orbit,
                     Params, Tolerances, audit_bounds, classify, classify_batch,
                     classify_oscillation, detect_monotone_tail, equilibrium,
                     final_convergence, find_period2, semicycles, simulate)
+from ratsys import stability
 from ratsys.analysis import (MIN_ORBIT_POINTS, MIN_TAIL_LEN, MonotoneTail,
                              Period2Result, SemiCycle, SemiCycleDecomposition,
                              resolved_prefix, settling_index)
 from ratsys.bounds import BoundsAudit, Violation, envelope_coeffs
-from ratsys import stability
 from ratsys.cli import main
 from ratsys.scenarios import sweep_from_dict
 
